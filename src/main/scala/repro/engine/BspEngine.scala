@@ -1,7 +1,7 @@
 package repro.engine
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions.{broadcast, col, min}
+import org.apache.spark.sql.functions.{broadcast, col}
 import scala.collection.mutable
 
 /** Batched multi-query vertex-centric BSP engine (Section 2 of the paper).
@@ -10,10 +10,11 @@ import scala.collection.mutable
   * BSP iteration the engine performs the three phases of the model —
   * computation (distance relaxation with a min message combiner),
   * communication (messages along out-edges) and barrier synchronisation
-  * (implicit in the lock-step loop). The data-parallel phases — message
-  * generation (frontier x edges join) and message combining (min aggregation
-  * per (query, vertex)) — run as Spark DataFrame operations over the shared
-  * edge table; this is the part whose cost scales with the graph.
+  * (implicit in the lock-step loop). Message generation (the frontier x
+  * edges broadcast join) is the one Spark DataFrame operation per
+  * iteration; it runs over the shared edge table and is the part whose cost
+  * scales with the graph. Its rows are collected once, and pruning and
+  * message combining (min per (query, vertex)) run on the driver.
   *
   * Queries write only query-private state (their own distance map), matching
   * the paper's write-isolation rule for concurrent analytics queries.
@@ -85,13 +86,8 @@ object BspEngine {
         case _ => (_: Int) => 0.0
       })
     }.toMap
-    // SSSP end coordinates for the Spark-side filter; (-1, -1) disables h.
-    val endCoords: Map[Int, (Int, Int)] = queries.map { q =>
-      q.qid -> ((astarSide, q.kind) match {
-        case (Some(side), QueryKind.Sssp) => (q.end % side, q.end / side)
-        case _                            => (-1, -1)
-      })
-    }.toMap
+    // A vertex reached at distance d can still improve the answer.
+    def promising(qid: Int, vid: Int, d: Double): Boolean = d + hFor(qid)(vid) < bound(qid)
 
     var frontier = mutable.ArrayBuffer.empty[(Int, Int, Double)]
     for (q <- queries) {
@@ -109,7 +105,7 @@ object BspEngine {
       frontier += ((q.qid, q.start, 0.0))
     }
     // A start vertex that already satisfies its goal sends no messages.
-    frontier = frontier.filter { case (qid, vid, d) => d + hFor(qid)(vid) < bound(qid) }
+    frontier = frontier.filter { case (qid, vid, d) => promising(qid, vid, d) }
 
     var iter = 0
     while (frontier.nonEmpty && iter < maxIter) {
@@ -117,58 +113,44 @@ object BspEngine {
       val rawMsgs = broadcast(frontierDf)
         .join(edgesDf, frontierDf("vid") === edgesDf("src"))
         .select(col("qid"), col("src"), col("dst"), (col("fdist") + col("weight")).as("nd"))
-      val msgsDf =
-        if (pruned) {
-          val boundRows = bound.toSeq.map { case (qid, b) =>
-            val (ex, ey) = endCoords(qid)
-            (qid, b, ex, ey)
-          }
-          val boundsDf = spark.createDataset(boundRows).toDF("qid", "bound", "ex", "ey")
-          val side = astarSide.getOrElse(1)
-          val h = org.apache.spark.sql.functions.expr(
-            s"CASE WHEN ex >= 0 THEN CAST(abs(dst % $side - ex) + abs((dst DIV $side) - ey) AS DOUBLE) ELSE 0.0 END")
-          rawMsgs.join(broadcast(boundsDf), "qid").where(col("nd") + h < col("bound"))
-        } else rawMsgs
-      msgsDf.persist()
-      try {
-        val msgRows = msgsDf.select(col("qid"), col("src"), col("dst")).as[(Int, Int, Int)].collect()
-        val cand = msgsDf.groupBy(col("qid"), col("dst"))
-          .agg(min(col("nd")).as("nd"))
-          .as[(Int, Int, Double)]
-          .collect()
+        .as[(Int, Int, Int, Double)]
+        .collect()
+      // Every row is pruned against the bounds as they stood at the start of
+      // the iteration, before any candidate below tightens one.
+      val msgs = if (pruned) rawMsgs.filter { case (qid, _, dst, nd) => promising(qid, dst, nd) } else rawMsgs
 
-        msgRows.sortBy(t => (t._1, t._2, t._3))
-          .foreach { case (qid, src, dst) => messages += MsgRec(qid, iter, src, dst) }
+      msgs.sortBy(t => (t._1, t._2, t._3))
+        .foreach { case (qid, src, dst, _) => messages += MsgRec(qid, iter, src, dst) }
 
-        val next = mutable.ArrayBuffer.empty[(Int, Int, Double)]
-        // Sort for deterministic trace/state ordering regardless of task order.
-        for ((qid, vid, nd) <- cand.sortBy(t => (t._1, t._2))) {
-          activations += ActRec(qid, iter + 1, vid)
-          lastActiveIter(qid) = iter + 1
-          val key = (qid, vid)
-          if (nd < state.getOrElse(key, Double.PositiveInfinity)) {
-            state(key) = nd
-            byQid(qid).kind match {
-              case QueryKind.Sssp =>
-                if (vid == byQid(qid).end && nd < bound(qid)) bound(qid) = nd
-              case QueryKind.Poi =>
-                if (isTagged(vid)) {
-                  val cur = poiBest.get(qid)
-                  if (cur.isEmpty || nd < cur.get._1 || (nd == cur.get._1 && vid < cur.get._2)) {
-                    poiBest(qid) = (nd, vid)
-                    bound(qid) = nd
-                  }
+      // Min combiner: one candidate distance per (query, vertex).
+      val cand = msgs.groupMapReduce(t => (t._1, t._3))(_._4)(math.min)
+
+      val next = mutable.ArrayBuffer.empty[(Int, Int, Double)]
+      // Sort for deterministic trace/state ordering regardless of hash order.
+      for (((qid, vid), nd) <- cand.toSeq.sortBy(_._1)) {
+        activations += ActRec(qid, iter + 1, vid)
+        lastActiveIter(qid) = iter + 1
+        val key = (qid, vid)
+        if (nd < state.getOrElse(key, Double.PositiveInfinity)) {
+          state(key) = nd
+          byQid(qid).kind match {
+            case QueryKind.Sssp =>
+              if (vid == byQid(qid).end && nd < bound(qid)) bound(qid) = nd
+            case QueryKind.Poi =>
+              if (isTagged(vid)) {
+                val cur = poiBest.get(qid)
+                if (cur.isEmpty || nd < cur.get._1 || (nd == cur.get._1 && vid < cur.get._2)) {
+                  poiBest(qid) = (nd, vid)
+                  bound(qid) = nd
                 }
-            }
-            next += ((qid, vid, nd))
+              }
           }
+          next += ((qid, vid, nd))
         }
-        // Vertices whose improved distance now violates the (possibly just
-        // tightened) bound must not send either.
-        frontier =
-          if (pruned) next.filter { case (qid, vid, d) => d + hFor(qid)(vid) < bound(qid) }
-          else next
-      } finally msgsDf.unpersist()
+      }
+      // Vertices whose improved distance now violates the (possibly just
+      // tightened) bound must not send either.
+      frontier = if (pruned) next.filter { case (qid, vid, d) => promising(qid, vid, d) } else next
       iter += 1
     }
     require(iter < maxIter || frontier.isEmpty,

@@ -1,7 +1,5 @@
 package repro.engine
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-
 /** Vertex `vid` of query `qid` is *active* in iteration `iter` — it received
   * at least one message in iteration `iter - 1` (or is a start vertex at
   * iteration 0). This is the paper's activation definition (Section 2) and
@@ -44,16 +42,4 @@ final case class BatchTrace(
   /** Global query scope GS(q): every vertex activated by query q. */
   def globalScope(qid: Int): Set[Int] =
     activations.iterator.filter(_.qid == qid).map(_.vid).toSet
-
-  /** Activations as a DataFrame (for Spark-side stats aggregation). */
-  def activationsDf(spark: SparkSession): DataFrame = {
-    import spark.implicits._
-    spark.createDataset(activations).toDF()
-  }
-
-  /** Messages as a DataFrame (for Spark-side stats aggregation). */
-  def messagesDf(spark: SparkSession): DataFrame = {
-    import spark.implicits._
-    spark.createDataset(messages).toDF()
-  }
 }

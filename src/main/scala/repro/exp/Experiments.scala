@@ -55,66 +55,68 @@ object Traces {
       .orElse(sys.env.get("QGRAPH_TRACE_DIR"))
       .getOrElse("target/traces"))
 
-  private def diskLoad(key: String): Option[Vector[BatchTrace]] = {
-    val f = new java.io.File(diskDir, key.replace('/', '_') + ".bin")
+  private def cacheFile(key: String) = new java.io.File(diskDir, key.replace('/', '_') + ".bin")
+
+  /** Reads one cache file: None when it does not exist. A file that cannot
+    * be read (truncated, or written by an older program whose classes have
+    * changed) is reported on stderr and is also None, so it is rebuilt.
+    */
+  private[exp] def diskLoad(f: java.io.File): Option[Vector[BatchTrace]] =
     if (!f.isFile) None
-    else {
+    else try {
       val in = new java.io.ObjectInputStream(
         new java.io.BufferedInputStream(new java.io.FileInputStream(f)))
-      try Some(in.readObject().asInstanceOf[Vector[BatchTrace]])
-      catch { case _: Exception => None }
-      finally in.close()
+      try Some(in.readObject().asInstanceOf[Vector[BatchTrace]]) finally in.close()
+    } catch {
+      case e: Exception =>
+        Console.err.println(s"[Traces] unreadable trace cache file $f ($e); rebuilding it")
+        None
     }
-  }
 
-  private def diskStore(key: String, traces: Vector[BatchTrace]): Unit = {
+  private def diskStore(f: java.io.File, traces: Vector[BatchTrace]): Unit = {
     diskDir.mkdirs()
-    val f = new java.io.File(diskDir, key.replace('/', '_') + ".bin")
     val out = new java.io.ObjectOutputStream(
       new java.io.BufferedOutputStream(new java.io.FileOutputStream(f)))
     try out.writeObject(traces) finally out.close()
   }
 
-  private def traceFor(key: String)(mk: => Vector[BatchTrace]): Vector[BatchTrace] =
-    cache.getOrElseUpdate(key, diskLoad(key).getOrElse {
-      val t = mk
-      diskStore(key, t)
+  /** Engine traces of the workload `queries`, cached under a key built from
+    * the network, `kind`, the query count `n`, batch size and seed.
+    */
+  private def traceFor(spark: SparkSession, s: ExpScale, kind: String, n: Int)(
+      queries: => Seq[Query]): Vector[BatchTrace] = {
+    val key = s"${s.network.name}-${s.network.structureHash}/$kind/$n/${s.batchSize}/${s.seed}"
+    cache.getOrElseUpdate(key, diskLoad(cacheFile(key)).getOrElse {
+      val edges = BspEngine.prepareEdges(spark, s.network)
+      val t = BspEngine.runWorkload(spark, edges, s.network.isTagged, queries, s.maxIter,
+        astarSide = Some(s.network.side))
+      diskStore(cacheFile(key), t)
       t
     })
+  }
 
   /** Intra-urban hotspot SSSP workload traces. */
   def sssp(spark: SparkSession, s: ExpScale): Vector[BatchTrace] =
-    traceFor(s"${s.network.name}-${s.network.structureHash}/sssp/${s.nQueries}/${s.batchSize}/${s.seed}") {
-      val edges = BspEngine.prepareEdges(spark, s.network)
-      val qs = QueryWorkload.generate(s.network, s.nQueries, QueryKind.Sssp,
-        batchSize = s.batchSize, seed = s.seed)
-      BspEngine.runWorkload(spark, edges, s.network.isTagged, qs, s.maxIter,
-        astarSide = Some(s.network.side))
+    traceFor(spark, s, "sssp", s.nQueries) {
+      QueryWorkload.generate(s.network, s.nQueries, QueryKind.Sssp, batchSize = s.batchSize, seed = s.seed)
     }
 
   /** The Fig. 5a disturbance: inter-urban SSSP between neighbouring cities,
     * appended after the intra-urban phase with fresh qids/batches.
     */
   def ssspDisturbance(spark: SparkSession, s: ExpScale): Vector[BatchTrace] =
-    traceFor(s"${s.network.name}-${s.network.structureHash}/sssp-inter/${s.nDisturb}/${s.batchSize}/${s.seed}") {
+    traceFor(spark, s, "sssp-inter", s.nDisturb) {
       require(s.nDisturb > 0, "scale has no disturbance phase")
-      val edges = BspEngine.prepareEdges(spark, s.network)
       val nBatches = (s.nQueries + s.batchSize - 1) / s.batchSize
-      val qs = QueryWorkload.generate(s.network, s.nDisturb, QueryKind.Sssp,
+      QueryWorkload.generate(s.network, s.nDisturb, QueryKind.Sssp,
         batchSize = s.batchSize, interUrban = true, seed = s.seed + 1000,
         qidOffset = s.nQueries, batchOffset = nBatches)
-      BspEngine.runWorkload(spark, edges, s.network.isTagged, qs, s.maxIter,
-        astarSide = Some(s.network.side))
     }
 
   /** Hotspot POI workload traces (Fig. 6c). */
   def poi(spark: SparkSession, s: ExpScale): Vector[BatchTrace] =
-    traceFor(s"${s.network.name}-${s.network.structureHash}/poi/${s.nQueries}/${s.batchSize}/${s.seed}") {
-      val edges = BspEngine.prepareEdges(spark, s.network)
-      val qs = QueryWorkload.generate(s.network, s.nQueries, QueryKind.Poi,
-        batchSize = s.batchSize, seed = s.seed + 2000)
-      BspEngine.runWorkload(spark, edges, s.network.isTagged, qs, s.maxIter,
-        astarSide = Some(s.network.side))
+    traceFor(spark, s, "poi", s.nQueries) {
+      QueryWorkload.generate(s.network, s.nQueries, QueryKind.Poi, batchSize = s.batchSize, seed = s.seed + 2000)
     }
 }
 

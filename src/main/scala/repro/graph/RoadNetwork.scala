@@ -120,13 +120,6 @@ final case class RoadNetwork(
   /** Total number of directed edges. */
   def numEdges: Int = 4 * numVertices - 4 * side
 
-  /** Vertices as a DataFrame: `vid, x, y, city, tagged`. */
-  def verticesDf(spark: SparkSession): DataFrame = {
-    import spark.implicits._
-    val rows = (0 until numVertices).map(v => (v, xOf(v), yOf(v), cityOf(v), isTagged(v)))
-    spark.createDataset(rows).toDF("vid", "x", "y", "city", "tagged")
-  }
-
   /** Directed edges as a DataFrame: `src, dst, weight`. */
   def edgesDf(spark: SparkSession): DataFrame = {
     import spark.implicits._

@@ -1,28 +1,17 @@
 package repro.partition
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.graph.RoadNetwork
 
 /** A static graph partitioner: assigns every vertex to one of `k` workers.
   *
-  * The canonical product is the dense driver-side assignment array (the
-  * simulator, Q-cut and the controller all consume it); `assignmentDf`
-  * exposes the same assignment as a DataFrame for Spark-side stats
-  * aggregation.
+  * The product is the dense driver-side assignment array (the simulator,
+  * Q-cut and the controller all consume it).
   */
 trait GraphPartitioner {
   def name: String
 
   /** vid -> worker in [0, k). */
   def assign(g: RoadNetwork, k: Int): Array[Int]
-
-  /** The assignment as a `(vid, worker)` DataFrame. */
-  def assignmentDf(spark: SparkSession, g: RoadNetwork, k: Int): DataFrame = {
-    import spark.implicits._
-    val a = assign(g, k)
-    spark.createDataset(a.toIndexedSeq.zipWithIndex.map { case (w, v) => (v, w) })
-      .toDF("vid", "worker")
-  }
 }
 
 /** Hash partitioning — the paper's workload-balance-optimal baseline:

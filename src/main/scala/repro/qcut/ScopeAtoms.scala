@@ -1,7 +1,5 @@
 package repro.qcut
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import scala.collection.mutable
 
 /** A *scope atom*: the set of vertices on worker `worker` that are touched
@@ -53,27 +51,4 @@ object ScopeAtoms {
     atoms.iterator
       .filter(a => a.worker == worker && qset.subsetOf(a.sig.toSet))
       .map(_.size.toLong).sum
-
-  /** Spark-side equivalent of the per-worker stats aggregation the workers
-    * perform before sending `stats(q, |LS(q,w)|, I_w, w)` to the controller:
-    * groups activations into `(signature, worker, count)` rows. Used by
-    * tests to cross-check the driver-side build against a DataFrame
-    * implementation (and against the DuckDB oracle).
-    */
-  def atomsDf(spark: SparkSession, activationsDf: DataFrame, assignmentDf: DataFrame): DataFrame = {
-    val scoped = activationsDf.select("qid", "vid").distinct()
-      .join(assignmentDf, "vid")
-    scoped
-      .groupBy(col("vid"), col("worker"))
-      .agg(sort_array(collect_set(col("qid"))).as("sig"))
-      .groupBy(col("sig"), col("worker"))
-      .agg(count(lit(1)).as("size"))
-  }
-
-  /** Spark-side |LS(q, w)| table: `(qid, worker, scope_size)`. */
-  def localScopesDf(spark: SparkSession, activationsDf: DataFrame, assignmentDf: DataFrame): DataFrame =
-    activationsDf.select("qid", "vid").distinct()
-      .join(assignmentDf, "vid")
-      .groupBy(col("qid"), col("worker"))
-      .agg(count(lit(1)).as("scope_size"))
 }

@@ -1,8 +1,10 @@
 package repro
 
 import java.sql.DriverManager
-import org.apache.spark.sql.{DataFrame, Row}
-import scala.jdk.CollectionConverters._
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.functions._
+import repro.engine.BatchTrace
+import repro.graph.RoadNetwork
 
 /** DuckDB correctness oracle.
   *
@@ -14,6 +16,10 @@ import scala.jdk.CollectionConverters._
   * Alias every output column identically on both sides (Spark names
   * ``count(*)`` as ``count(1)``, DuckDB as ``count_star()``). Project
   * to scalar columns — array/map/struct are not comparable here.
+  *
+  * The remaining members are DataFrame twins of driver-side structures:
+  * the Spark inputs of the oracle checks, and Spark re-implementations of
+  * the per-worker aggregations the tests cross-check.
   */
 object Oracle {
 
@@ -74,4 +80,46 @@ object Oracle {
       )
     } finally conn.close()
   }
+
+  def activationsDf(spark: SparkSession, t: BatchTrace): DataFrame = {
+    import spark.implicits._
+    spark.createDataset(t.activations).toDF()
+  }
+
+  def messagesDf(spark: SparkSession, t: BatchTrace): DataFrame = {
+    import spark.implicits._
+    spark.createDataset(t.messages).toDF()
+  }
+
+  /** A vertex assignment as a `(vid, worker)` DataFrame. */
+  def assignmentDf(spark: SparkSession, assign: Array[Int]): DataFrame = {
+    import spark.implicits._
+    spark.createDataset(assign.toIndexedSeq.zipWithIndex.map { case (w, v) => (v, w) })
+      .toDF("vid", "worker")
+  }
+
+  /** Vertices as a DataFrame: `vid, x, y, city, tagged`. */
+  def verticesDf(spark: SparkSession, g: RoadNetwork): DataFrame = {
+    import spark.implicits._
+    val rows = (0 until g.numVertices).map(v => (v, g.xOf(v), g.yOf(v), g.cityOf(v), g.isTagged(v)))
+    spark.createDataset(rows).toDF("vid", "x", "y", "city", "tagged")
+  }
+
+  /** Scope atoms as `(sig, worker, size)` rows, the Spark twin of
+    * `ScopeAtoms.build`.
+    */
+  def atomsDf(activationsDf: DataFrame, assignmentDf: DataFrame): DataFrame =
+    activationsDf.select("qid", "vid").distinct()
+      .join(assignmentDf, "vid")
+      .groupBy(col("vid"), col("worker"))
+      .agg(sort_array(collect_set(col("qid"))).as("sig"))
+      .groupBy(col("sig"), col("worker"))
+      .agg(count(lit(1)).as("size"))
+
+  /** Local scope sizes |LS(q, w)| as `(qid, worker, scope_size)` rows. */
+  def localScopesDf(activationsDf: DataFrame, assignmentDf: DataFrame): DataFrame =
+    activationsDf.select("qid", "vid").distinct()
+      .join(assignmentDf, "vid")
+      .groupBy(col("qid"), col("worker"))
+      .agg(count(lit(1)).as("scope_size"))
 }

