@@ -1,23 +1,34 @@
 package repro.engine
 
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions.{broadcast, col}
-import scala.collection.mutable
+import scala.util.Try
+
+/** Read-only graph in compressed sparse rows: the out-edges of vertex `v`
+  * are rows `offsets(v) until offsets(v + 1)` of `dst`/`weight`, sorted by
+  * `dst`.
+  */
+private[engine] final class Csr(val offsets: Array[Int], val dst: Array[Int], val weight: Array[Double])
+    extends Serializable {
+  def numVertices: Int = offsets.length - 1
+}
 
 /** Batched multi-query vertex-centric BSP engine (Section 2 of the paper).
   *
   * All queries of a batch execute their iterations simultaneously: in each
   * BSP iteration the engine performs the three phases of the model —
-  * computation (distance relaxation with a min message combiner),
-  * communication (messages along out-edges) and barrier synchronisation
-  * (implicit in the lock-step loop). Message generation (the frontier x
-  * edges broadcast join) is the one Spark DataFrame operation per
-  * iteration; it runs over the shared edge table and is the part whose cost
-  * scales with the graph. Its rows are collected once, and pruning and
-  * message combining (min per (query, vertex)) run on the driver.
+  * communication (messages along out-edges), computation (distance
+  * relaxation with a min message combiner, Pregel-style) and barrier
+  * synchronisation (implicit in the lock-step loop).
   *
-  * Queries write only query-private state (their own distance map), matching
-  * the paper's write-isolation rule for concurrent analytics queries.
+  * A trace is a pure function of (graph, batch), so the batch is the unit of
+  * parallelism: the edge table is collected once into a CSR adjacency and
+  * broadcast, and each batch runs its whole BSP loop as one Spark task over
+  * that local adjacency — one Spark job per `runBatch`/`runWorkload` call.
+  *
+  * Queries write only query-private state (their own distance array),
+  * matching the paper's write-isolation rule for concurrent analytics
+  * queries.
   *
   * Goal-directed pruning: messages whose accumulated distance is already
   * >= the query's current bound (distance of the SSSP end vertex / nearest
@@ -29,17 +40,35 @@ import scala.collection.mutable
   */
 object BspEngine {
 
-  /** Creates and caches the shared edge table for a road network. */
-  def prepareEdges(spark: SparkSession, network: repro.graph.RoadNetwork): DataFrame = {
-    val df = network.edgesDf(spark).cache()
-    df.count() // materialise before the iteration loop
-    df
+  /** The shared edge table `(src, dst, weight)` of a road network. */
+  def prepareEdges(spark: SparkSession, network: repro.graph.RoadNetwork): DataFrame =
+    network.edgesDf(spark)
+
+  // Broadcast adjacency per edge table. Dataset has no value equality, so
+  // entries are found by identity and dropped with their DataFrame.
+  private val csrs = new java.util.WeakHashMap[DataFrame, Broadcast[Csr]]()
+
+  private def csrOf(edgesDf: DataFrame): Broadcast[Csr] = csrs.synchronized {
+    Option(csrs.get(edgesDf)).getOrElse {
+      val rows = edgesDf.select("src", "dst", "weight").collect()
+      val src = rows.map(_.getInt(0)); val dst = rows.map(_.getInt(1)); val w = rows.map(_.getDouble(2))
+      val n = if (rows.isEmpty) 0 else math.max(src.max, dst.max) + 1
+      val order = rows.indices.sortBy(i => (src(i), dst(i)))
+      val offsets = new Array[Int](n + 1)
+      src.foreach(s => offsets(s + 1) += 1)
+      for (v <- 0 until n) offsets(v + 1) += offsets(v)
+      val b = edgesDf.sparkSession.sparkContext.broadcast(
+        new Csr(offsets, order.map(dst).toArray, order.map(w).toArray))
+      csrs.put(edgesDf, b)
+      b
+    }
   }
 
   /** Executes one batch of queries to completion and returns its trace.
     *
-    * @param edgesDf   cached `(src, dst, weight)` edge table
-    * @param isTagged  POI tag predicate (from the road network)
+    * @param edgesDf   `(src, dst, weight)` edge table
+    * @param isTagged  POI tag predicate (from the road network); it travels
+    *                  to the executor, so it must be serializable
     * @param queries   the batch (any size; the paper uses 16)
     * @param maxIter   safety bound on BSP iterations
     * @param pruned    enable goal-directed pruning (disable for the
@@ -59,124 +88,12 @@ object BspEngine {
       queries: Seq[Query],
       maxIter: Int = 2000,
       pruned: Boolean = true,
-      astarSide: Option[Int] = None): BatchTrace = {
-    import spark.implicits._
-    require(queries.nonEmpty, "empty batch")
-    require(queries.map(_.qid).distinct.size == queries.size, "duplicate qids in batch")
-    val byQid = queries.map(q => q.qid -> q).toMap
-    val batchId = queries.head.batch
+      astarSide: Option[Int] = None): BatchTrace =
+    run(spark, edgesDf, isTagged, Vector(queries.toVector), maxIter, pruned, astarSide).head
 
-    // Query-private vertex state: dist(q, v); the shared graph is read-only.
-    val state = mutable.HashMap.empty[(Int, Int), Double]
-    // Pruning bound per query: SSSP -> current dist(end); POI -> best tagged dist.
-    val bound = mutable.HashMap.empty[Int, Double]
-    // POI best candidate (dist, vid), tie-break on smaller vid.
-    val poiBest = mutable.HashMap.empty[Int, (Double, Int)]
-
-    val activations = mutable.ArrayBuffer.empty[ActRec]
-    val messages = mutable.ArrayBuffer.empty[MsgRec]
-    val lastActiveIter = mutable.HashMap.empty[Int, Int]
-
-    // Admissible remaining-distance lower bound h(q, v) for A*-style pruning.
-    val hFor: Map[Int, Int => Double] = queries.map { q =>
-      q.qid -> ((astarSide, q.kind) match {
-        case (Some(side), QueryKind.Sssp) =>
-          val ex = q.end % side; val ey = q.end / side
-          (v: Int) => (math.abs(v % side - ex) + math.abs(v / side - ey)).toDouble
-        case _ => (_: Int) => 0.0
-      })
-    }.toMap
-    // A vertex reached at distance d can still improve the answer.
-    def promising(qid: Int, vid: Int, d: Double): Boolean = d + hFor(qid)(vid) < bound(qid)
-
-    var frontier = mutable.ArrayBuffer.empty[(Int, Int, Double)]
-    for (q <- queries) {
-      state((q.qid, q.start)) = 0.0
-      activations += ActRec(q.qid, 0, q.start)
-      lastActiveIter(q.qid) = 0
-      q.kind match {
-        case QueryKind.Sssp =>
-          if (q.start == q.end) bound(q.qid) = 0.0
-          else bound(q.qid) = Double.PositiveInfinity
-        case QueryKind.Poi =>
-          if (isTagged(q.start)) { bound(q.qid) = 0.0; poiBest(q.qid) = (0.0, q.start) }
-          else bound(q.qid) = Double.PositiveInfinity
-      }
-      frontier += ((q.qid, q.start, 0.0))
-    }
-    // A start vertex that already satisfies its goal sends no messages.
-    frontier = frontier.filter { case (qid, vid, d) => promising(qid, vid, d) }
-
-    var iter = 0
-    while (frontier.nonEmpty && iter < maxIter) {
-      val frontierDf = spark.createDataset(frontier.toSeq).toDF("qid", "vid", "fdist")
-      val rawMsgs = broadcast(frontierDf)
-        .join(edgesDf, frontierDf("vid") === edgesDf("src"))
-        .select(col("qid"), col("src"), col("dst"), (col("fdist") + col("weight")).as("nd"))
-        .as[(Int, Int, Int, Double)]
-        .collect()
-      // Every row is pruned against the bounds as they stood at the start of
-      // the iteration, before any candidate below tightens one.
-      val msgs = if (pruned) rawMsgs.filter { case (qid, _, dst, nd) => promising(qid, dst, nd) } else rawMsgs
-
-      msgs.sortBy(t => (t._1, t._2, t._3))
-        .foreach { case (qid, src, dst, _) => messages += MsgRec(qid, iter, src, dst) }
-
-      // Min combiner: one candidate distance per (query, vertex).
-      val cand = msgs.groupMapReduce(t => (t._1, t._3))(_._4)(math.min)
-
-      val next = mutable.ArrayBuffer.empty[(Int, Int, Double)]
-      // Sort for deterministic trace/state ordering regardless of hash order.
-      for (((qid, vid), nd) <- cand.toSeq.sortBy(_._1)) {
-        activations += ActRec(qid, iter + 1, vid)
-        lastActiveIter(qid) = iter + 1
-        val key = (qid, vid)
-        if (nd < state.getOrElse(key, Double.PositiveInfinity)) {
-          state(key) = nd
-          byQid(qid).kind match {
-            case QueryKind.Sssp =>
-              if (vid == byQid(qid).end && nd < bound(qid)) bound(qid) = nd
-            case QueryKind.Poi =>
-              if (isTagged(vid)) {
-                val cur = poiBest.get(qid)
-                if (cur.isEmpty || nd < cur.get._1 || (nd == cur.get._1 && vid < cur.get._2)) {
-                  poiBest(qid) = (nd, vid)
-                  bound(qid) = nd
-                }
-              }
-          }
-          next += ((qid, vid, nd))
-        }
-      }
-      // Vertices whose improved distance now violates the (possibly just
-      // tightened) bound must not send either.
-      frontier = if (pruned) next.filter { case (qid, vid, d) => promising(qid, vid, d) } else next
-      iter += 1
-    }
-    require(iter < maxIter || frontier.isEmpty,
-      s"batch $batchId did not converge within $maxIter iterations")
-
-    val results = queries.map { q =>
-      q.kind match {
-        case QueryKind.Sssp =>
-          val d = state.get((q.qid, q.end)).orElse(if (q.start == q.end) Some(0.0) else None)
-          q.qid -> QueryResult(q.qid, d.isDefined, d.getOrElse(Double.NaN), q.end, lastActiveIter(q.qid))
-        case QueryKind.Poi =>
-          val best = poiBest.get(q.qid)
-          q.qid -> QueryResult(q.qid, best.isDefined, best.map(_._1).getOrElse(Double.NaN),
-            best.map(_._2).getOrElse(-1), lastActiveIter(q.qid))
-      }
-    }.toMap
-
-    val finalDistances: Map[Int, Map[Int, Double]] =
-      state.groupBy(_._1._1).map { case (qid, m) => qid -> m.map { case ((_, v), d) => v -> d }.toMap }
-
-    BatchTrace(batchId, queries.toVector, iter, activations.toVector, messages.toVector,
-      results, finalDistances)
-  }
-
-  /** Runs a workload batch-by-batch (batches execute sequentially, queries
-    * within a batch in parallel — the paper's "16 parallel queries" setup).
+  /** Runs a workload, one Spark task per batch (queries within a batch in
+    * lock-step — the paper's "16 parallel queries" setup). Traces come back
+    * in batch order.
     */
   def runWorkload(
       spark: SparkSession,
@@ -186,7 +103,154 @@ object BspEngine {
       maxIter: Int = 2000,
       pruned: Boolean = true,
       astarSide: Option[Int] = None): Vector[BatchTrace] =
-    queries.groupBy(_.batch).toVector.sortBy(_._1).map { case (_, qs) =>
-      runBatch(spark, edgesDf, isTagged, qs, maxIter, pruned, astarSide)
+    run(spark, edgesDf, isTagged, queries.groupBy(_.batch).toVector.sortBy(_._1).map(_._2.toVector),
+      maxIter, pruned, astarSide)
+
+  private def run(
+      spark: SparkSession,
+      edgesDf: DataFrame,
+      isTagged: Int => Boolean,
+      batches: Vector[Vector[Query]],
+      maxIter: Int,
+      pruned: Boolean,
+      astarSide: Option[Int]): Vector[BatchTrace] = {
+    for (qs <- batches) {
+      require(qs.nonEmpty, "empty batch")
+      require(qs.map(_.qid).distinct.size == qs.size, "duplicate qids in batch")
     }
+    if (batches.isEmpty) return Vector.empty
+    val csr = csrOf(edgesDf)
+    // A failure inside a task comes back as the task's value and is
+    // rethrown here as itself, not wrapped in a SparkException.
+    spark.sparkContext.parallelize(batches, batches.size)
+      .map(qs => Try(execute(csr.value, isTagged, qs, maxIter, pruned, astarSide)))
+      .collect().toVector.map(_.get)
+  }
+
+  /** The BSP loop of one batch over a local adjacency. Within an iteration
+    * queries run in qid order; messages come out in (qid, src, dst) order
+    * and activations in (qid, vid) order.
+    */
+  private def execute(
+      csr: Csr,
+      isTagged: Int => Boolean,
+      queries: Vector[Query],
+      maxIter: Int,
+      pruned: Boolean,
+      astarSide: Option[Int]): BatchTrace = {
+    val qs = queries.sortBy(_.qid).toArray
+    val slot = qs.indices.map(i => qs(i).qid -> i).toMap
+    val n = math.max(csr.numVertices, qs.map(q => math.max(q.start, q.end)).max + 1)
+
+    // Query-private vertex state dist(q, v); the shared graph is read-only.
+    val dist = Array.fill(qs.length)(Array.fill(n)(Double.PositiveInfinity))
+    // Pruning bound per query: SSSP -> current dist(end); POI -> best tagged dist.
+    val bound = Array.fill(qs.length)(Double.PositiveInfinity)
+    // POI best candidate, tie-break on smaller vid.
+    val bestVid = Array.fill(qs.length)(-1)
+    val bestDist = Array.fill(qs.length)(Double.PositiveInfinity)
+    val lastActiveIter = new Array[Int](qs.length)
+
+    val actQid, actIter, actVid = Array.newBuilder[Int]
+    val msgQid, msgIter, msgSrc, msgDst = Array.newBuilder[Int]
+    def activate(i: Int, iter: Int, vid: Int): Unit = {
+      actQid += qs(i).qid; actIter += iter; actVid += vid
+      lastActiveIter(i) = iter
+    }
+
+    // Admissible remaining-distance lower bound h(q, v) for A*-style pruning.
+    val side = astarSide.getOrElse(0)
+    val aStar = qs.map(q => astarSide.isDefined && q.kind == QueryKind.Sssp)
+    def h(i: Int, v: Int): Double =
+      if (aStar(i)) (math.abs(v % side - qs(i).end % side) + math.abs(v / side - qs(i).end / side)).toDouble
+      else 0.0
+    // A vertex reached at distance d can still improve the answer.
+    def promising(i: Int, v: Int, d: Double): Boolean = d + h(i, v) < bound(i)
+
+    for (q <- queries) {
+      val i = slot(q.qid)
+      dist(i)(q.start) = 0.0
+      activate(i, 0, q.start)
+      q.kind match {
+        case QueryKind.Sssp => if (q.start == q.end) bound(i) = 0.0
+        case QueryKind.Poi =>
+          if (isTagged(q.start)) { bound(i) = 0.0; bestVid(i) = q.start; bestDist(i) = 0.0 }
+      }
+    }
+    // A start vertex that already satisfies its goal sends no messages.
+    val frontier: Array[Array[Int]] =
+      qs.indices.map(i => Array(qs(i).start).filter(v => promising(i, v, 0.0))).toArray
+
+    // Min combiner: one candidate distance per vertex, reset after each query.
+    val cand = Array.fill(n)(Double.PositiveInfinity)
+    var iter = 0
+    while (frontier.exists(_.nonEmpty) && iter < maxIter) {
+      for (i <- qs.indices) {
+        val q = qs(i); val d = dist(i)
+        // Communication: every message is pruned against the bound as it
+        // stood at the start of the iteration, before any candidate below
+        // tightens it. The frontier is sorted by vid and each CSR row by dst.
+        val touched = Array.newBuilder[Int]
+        for (v <- frontier(i) if v < csr.numVertices; e <- csr.offsets(v) until csr.offsets(v + 1)) {
+          val u = csr.dst(e); val nd = d(v) + csr.weight(e)
+          if (!pruned || promising(i, u, nd)) {
+            msgQid += q.qid; msgIter += iter; msgSrc += v; msgDst += u
+            if (cand(u) == Double.PositiveInfinity) touched += u
+            cand(u) = math.min(cand(u), nd)
+          }
+        }
+        // Computation, walked in vid order for a deterministic trace.
+        val targets = touched.result()
+        java.util.Arrays.sort(targets)
+        val next = Array.newBuilder[Int]
+        for (u <- targets) {
+          val nd = cand(u)
+          cand(u) = Double.PositiveInfinity
+          activate(i, iter + 1, u)
+          if (nd < d(u)) {
+            d(u) = nd
+            q.kind match {
+              case QueryKind.Sssp =>
+                if (u == q.end && nd < bound(i)) bound(i) = nd
+              case QueryKind.Poi =>
+                if (isTagged(u) && (nd < bestDist(i) || (nd == bestDist(i) && u < bestVid(i)))) {
+                  bestVid(i) = u; bestDist(i) = nd; bound(i) = nd
+                }
+            }
+            next += u
+          }
+        }
+        // Vertices whose improved distance now violates the (possibly just
+        // tightened) bound must not send either.
+        frontier(i) = if (pruned) next.result().filter(v => promising(i, v, d(v))) else next.result()
+      }
+      iter += 1
+    }
+    require(iter < maxIter || frontier.forall(_.isEmpty),
+      s"batch ${queries.head.batch} did not converge within $maxIter iterations")
+
+    val results = qs.indices.map { i =>
+      val q = qs(i)
+      q.qid -> (q.kind match {
+        case QueryKind.Sssp =>
+          val d = dist(i)(q.end)
+          val found = d < Double.PositiveInfinity
+          QueryResult(q.qid, found, if (found) d else Double.NaN, q.end, lastActiveIter(i))
+        case QueryKind.Poi =>
+          val found = bestVid(i) >= 0
+          QueryResult(q.qid, found, if (found) bestDist(i) else Double.NaN, bestVid(i), lastActiveIter(i))
+      })
+    }.toMap
+
+    val distQid, distVid = Array.newBuilder[Int]
+    val distValue = Array.newBuilder[Double]
+    for (i <- qs.indices; v <- 0 until n if dist(i)(v) < Double.PositiveInfinity) {
+      distQid += qs(i).qid; distVid += v; distValue += dist(i)(v)
+    }
+
+    new BatchTrace(queries.head.batch, queries, iter,
+      actQid.result(), actIter.result(), actVid.result(),
+      msgQid.result(), msgIter.result(), msgSrc.result(), msgDst.result(),
+      results, distQid.result(), distVid.result(), distValue.result())
+  }
 }

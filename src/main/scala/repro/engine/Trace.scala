@@ -29,17 +29,99 @@ final case class QueryResult(qid: Int, found: Boolean, dist: Double, target: Int
   * barrier management only decide *where* each activation executes and
   * *which* messages cross worker boundaries, which is exactly what
   * `repro.sim.IterationStats` derives from a trace plus an assignment.
+  *
+  * Storage is columnar: activations, messages and final distances are
+  * parallel primitive arrays (row `i` of the activation columns is
+  * `ActRec(actQid(i), actIter(i), actVid(i))`), in the order the engine
+  * emitted them. Final distances are sorted by (qid, vid). Every cached
+  * trace and every replay pass is held in memory, so a boxed record per row
+  * would dominate the heap. `activations`, `messages` and `finalDistances`
+  * are record views over the columns; equality is by value.
   */
-final case class BatchTrace(
-    batchId: Int,
-    queries: Vector[Query],
-    iterations: Int,
-    activations: Vector[ActRec],
-    messages: Vector[MsgRec],
-    results: Map[Int, QueryResult],
-    finalDistances: Map[Int, Map[Int, Double]]) {
+final class BatchTrace(
+    val batchId: Int,
+    val queries: Vector[Query],
+    val iterations: Int,
+    private[repro] val actQid: Array[Int],
+    private[repro] val actIter: Array[Int],
+    private[repro] val actVid: Array[Int],
+    private[repro] val msgQid: Array[Int],
+    private[repro] val msgIter: Array[Int],
+    private[repro] val msgSrc: Array[Int],
+    private[repro] val msgDst: Array[Int],
+    val results: Map[Int, QueryResult],
+    distQid: Array[Int],
+    distVid: Array[Int],
+    distValue: Array[Double]) extends Serializable {
+  require(actIter.length == actQid.length && actVid.length == actQid.length, "ragged activation columns")
+  require(msgIter.length == msgQid.length && msgSrc.length == msgQid.length && msgDst.length == msgQid.length,
+    "ragged message columns")
+  require(distVid.length == distQid.length && distValue.length == distQid.length, "ragged distance columns")
+
+  def activations: IndexedSeq[ActRec] = new IndexedSeq[ActRec] {
+    def length: Int = actQid.length
+    def apply(i: Int): ActRec = ActRec(actQid(i), actIter(i), actVid(i))
+  }
+
+  def messages: IndexedSeq[MsgRec] = new IndexedSeq[MsgRec] {
+    def length: Int = msgQid.length
+    def apply(i: Int): MsgRec = MsgRec(msgQid(i), msgIter(i), msgSrc(i), msgDst(i))
+  }
+
+  /** Per query, the distance of every vertex the query reached. */
+  def finalDistances: Map[Int, Map[Int, Double]] =
+    distQid.indices.groupBy(distQid(_)).map { case (qid, rows) =>
+      qid -> rows.map(i => distVid(i) -> distValue(i)).toMap
+    }
 
   /** Global query scope GS(q): every vertex activated by query q. */
-  def globalScope(qid: Int): Set[Int] =
-    activations.iterator.filter(_.qid == qid).map(_.vid).toSet
+  def globalScope(qid: Int): Set[Int] = {
+    val b = Set.newBuilder[Int]
+    var i = 0
+    while (i < actQid.length) { if (actQid(i) == qid) b += actVid(i); i += 1 }
+    b.result()
+  }
+
+  private def columns: Seq[AnyRef] =
+    Seq(actQid, actIter, actVid, msgQid, msgIter, msgSrc, msgDst, distQid, distVid, distValue)
+
+  override def equals(other: Any): Boolean = other match {
+    case o: BatchTrace =>
+      batchId == o.batchId && iterations == o.iterations && queries == o.queries && results == o.results &&
+        columns.zip(o.columns).forall { case (a, b) => java.util.Objects.deepEquals(a, b) }
+    case _ => false
+  }
+
+  override def hashCode: Int =
+    java.util.Arrays.deepHashCode((Seq[AnyRef](Int.box(batchId), queries, results) ++ columns).toArray)
+
+  override def toString: String =
+    s"BatchTrace(batch $batchId, ${queries.size} queries, $iterations iterations, " +
+      s"${actQid.length} activations, ${msgQid.length} messages)"
+}
+
+object BatchTrace {
+
+  /** Version of the engine output and of this class's serialized layout;
+    * part of every trace-cache key, so bumping it retires old cache files.
+    */
+  val Format: Int = 1
+
+  /** Builds a trace from records, e.g. a hand-written one in a test. */
+  def apply(
+      batchId: Int,
+      queries: Vector[Query],
+      iterations: Int,
+      activations: Seq[ActRec],
+      messages: Seq[MsgRec],
+      results: Map[Int, QueryResult],
+      finalDistances: Map[Int, Map[Int, Double]]): BatchTrace = {
+    val dist = finalDistances.toSeq.flatMap { case (q, m) => m.map { case (v, d) => (q, v, d) } }
+      .sortBy(t => (t._1, t._2))
+    new BatchTrace(batchId, queries, iterations,
+      activations.map(_.qid).toArray, activations.map(_.iter).toArray, activations.map(_.vid).toArray,
+      messages.map(_.qid).toArray, messages.map(_.iter).toArray,
+      messages.map(_.src).toArray, messages.map(_.dst).toArray,
+      results, dist.map(_._1).toArray, dist.map(_._2).toArray, dist.map(_._3).toArray)
+  }
 }

@@ -55,7 +55,14 @@ object Traces {
       .orElse(sys.env.get("QGRAPH_TRACE_DIR"))
       .getOrElse("target/traces"))
 
-  private def cacheFile(key: String) = new java.io.File(diskDir, key.replace('/', '_') + ".bin")
+  private[exp] def cacheFile(key: String) = new java.io.File(diskDir, key.replace('/', '_') + ".bin")
+
+  /** Cache key of a trace set: the network, `kind`, the query count `n`,
+    * batch size, seed, the engine's iteration bound and the trace format.
+    */
+  private[exp] def key(s: ExpScale, kind: String, n: Int): String =
+    s"${s.network.name}-${s.network.structureHash}/$kind/$n/${s.batchSize}/${s.seed}/${s.maxIter}" +
+      s"/f${BatchTrace.Format}"
 
   /** Reads one cache file: None when it does not exist. A file that cannot
     * be read (truncated, or written by an older program whose classes have
@@ -80,17 +87,15 @@ object Traces {
     try out.writeObject(traces) finally out.close()
   }
 
-  /** Engine traces of the workload `queries`, cached under a key built from
-    * the network, `kind`, the query count `n`, batch size and seed.
-    */
+  /** Engine traces of the workload `queries`, cached under `key(s, kind, n)`. */
   private def traceFor(spark: SparkSession, s: ExpScale, kind: String, n: Int)(
       queries: => Seq[Query]): Vector[BatchTrace] = {
-    val key = s"${s.network.name}-${s.network.structureHash}/$kind/$n/${s.batchSize}/${s.seed}"
-    cache.getOrElseUpdate(key, diskLoad(cacheFile(key)).getOrElse {
+    val k = key(s, kind, n)
+    cache.getOrElseUpdate(k, diskLoad(cacheFile(k)).getOrElse {
       val edges = BspEngine.prepareEdges(spark, s.network)
       val t = BspEngine.runWorkload(spark, edges, s.network.isTagged, queries, s.maxIter,
         astarSide = Some(s.network.side))
-      diskStore(cacheFile(key), t)
+      diskStore(cacheFile(k), t)
       t
     })
   }
@@ -305,10 +310,10 @@ object Experiments {
     val edges = BspEngine.prepareEdges(spark, s.network)
     val qs = QueryWorkload.generate(s.network, nQueries, QueryKind.Sssp,
       batchSize = 1, seed = s.seed + 3000)
-    val pruned = qs.map(q => BspEngine.runBatch(spark, edges, s.network.isTagged, Seq(q),
-      s.maxIter, pruned = true, astarSide = Some(s.network.side)))
-    val full = qs.map(q => BspEngine.runBatch(spark, edges, s.network.isTagged, Seq(q),
-      s.maxIter * 4, pruned = false))
+    // batchSize = 1: every query is its own batch, i.e. a single-query run.
+    val pruned = BspEngine.runWorkload(spark, edges, s.network.isTagged, qs,
+      s.maxIter, astarSide = Some(s.network.side))
+    val full = BspEngine.runWorkload(spark, edges, s.network.isTagged, qs, s.maxIter * 4, pruned = false)
     val assign = HashPartitioner.assign(s.network, s.k)
     def latency(ts: Seq[BatchTrace]): Double = ts.map { t =>
       val stats = repro.sim.IterationStats.compute(t, assign(_))

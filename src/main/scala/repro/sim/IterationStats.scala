@@ -57,16 +57,16 @@ object IterationStats {
     */
   def compute(trace: BatchTrace, assign: Int => Int): Vector[QueryIterStat] = {
     val act = mutable.HashMap.empty[(Int, Int), mutable.HashMap[Int, Int]]
-    for (a <- trace.activations) {
-      val m = act.getOrElseUpdate((a.qid, a.iter), mutable.HashMap.empty)
-      val w = assign(a.vid)
+    for (i <- trace.actQid.indices) {
+      val m = act.getOrElseUpdate((trace.actQid(i), trace.actIter(i)), mutable.HashMap.empty)
+      val w = assign(trace.actVid(i))
       m(w) = m.getOrElse(w, 0) + 1
     }
     val remote = mutable.HashMap.empty[(Int, Int), mutable.HashMap[(Int, Int), Int]]
     val local = mutable.HashMap.empty[(Int, Int), Int]
-    for (m <- trace.messages) {
-      val ws = assign(m.src); val wd = assign(m.dst)
-      val key = (m.qid, m.iter)
+    for (i <- trace.msgQid.indices) {
+      val ws = assign(trace.msgSrc(i)); val wd = assign(trace.msgDst(i))
+      val key = (trace.msgQid(i), trace.msgIter(i))
       if (ws == wd) local(key) = local.getOrElse(key, 0) + 1
       else {
         val mm = remote.getOrElseUpdate(key, mutable.HashMap.empty)

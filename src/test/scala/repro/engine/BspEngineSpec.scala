@@ -198,6 +198,24 @@ class BspEngineSpec extends SparkSpec {
     smallSsspTraces.foreach(t => t.queries.foreach(q => assert(q.batch === t.batchId)))
   }
 
+  test("runWorkload returns batches in order, each equal to runBatch on that batch alone") {
+    for ((queries, traces) <- Seq(smallSsspQueries -> smallSsspTraces, smallPoiQueries -> smallPoiTraces)) {
+      assert(traces.map(_.batchId) === queries.map(_.batch).distinct.sorted)
+      for (t <- traces) {
+        val alone = BspEngine.runBatch(spark, smallEdges, small.isTagged, queries.filter(_.batch == t.batchId),
+          maxIter = 400, astarSide = Some(small.side))
+        assert(alone === t, s"batch ${t.batchId}")
+      }
+    }
+  }
+
+  test("a batch that does not converge within maxIter fails on the driver with IllegalArgumentException") {
+    val e = intercept[IllegalArgumentException] {
+      BspEngine.runBatch(spark, penta, noTag, Seq(Query(0, QueryKind.Sssp, 0, 3, 0, 0)), maxIter = 1)
+    }
+    assert(e.getMessage.contains("batch 0 did not converge within 1 iterations"), e.getMessage)
+  }
+
   test("runBatch rejects duplicate qids and empty batches") {
     intercept[IllegalArgumentException] {
       BspEngine.runBatch(spark, penta, noTag,

@@ -1,6 +1,7 @@
 package repro.exp
 
 import repro.SparkSpec
+import repro.engine.BatchTrace
 
 /** End-to-end harness tests at unit-test scale: every figure harness runs
   * and produces the qualitative shape the paper reports (the quantitative
@@ -36,6 +37,20 @@ class ExperimentsSpec extends SparkSpec {
       val err = new java.io.ByteArrayOutputStream
       assert(Console.withErr(err)(Traces.diskLoad(f)).isEmpty)
       assert(err.toString.contains(f.toString) && err.toString.contains("Exception"), err.toString)
+    } finally f.delete()
+  }
+
+  test("a trace cache file written under another maxIter is not read") {
+    val scale = s.copy(nQueries = 8, seed = 77) // a workload no other test caches
+    val f = Traces.cacheFile(Traces.key(scale.copy(maxIter = scale.maxIter + 1), "sssp", scale.nQueries))
+    val planted = Vector(BatchTrace(-1, Vector.empty, 0, Nil, Nil, Map.empty, Map.empty))
+    f.getParentFile.mkdirs()
+    val out = new java.io.ObjectOutputStream(new java.io.FileOutputStream(f))
+    try out.writeObject(planted) finally out.close()
+    try {
+      assert(Traces.diskLoad(f) === Some(planted))
+      val traces = Traces.sssp(spark, scale)
+      assert(traces.map(_.queries.size).sum === scale.nQueries)
     } finally f.delete()
   }
 
