@@ -95,8 +95,9 @@ final class Controller(k: Int, cfg: ControllerConfig) {
     */
   def observeBatch(trace: BatchTrace, stats: Vector[QueryIterStat], now: Double): Unit = {
     val locality = Metrics.queryLocality(stats)
+    val scopes = trace.globalScopes
     for (q <- trace.queries)
-      window.append(WindowEntry(q.qid, now, trace.globalScope(q.qid), locality.getOrElse(q.qid, 1.0)))
+      window.append(WindowEntry(q.qid, now, scopes(q.qid), locality.getOrElse(q.qid, 1.0)))
     while (window.nonEmpty && window.head.endTime < now - cfg.muSimSeconds) window.removeHead()
     while (window.size > cfg.maxQueries) window.removeHead()
     recentLoads.append(Metrics.workerLoads(stats, k))

@@ -1,5 +1,7 @@
 package repro.engine
 
+import scala.collection.mutable
+
 /** Vertex `vid` of query `qid` is *active* in iteration `iter` — it received
   * at least one message in iteration `iter - 1` (or is a start vertex at
   * iteration 0). This is the paper's activation definition (Section 2) and
@@ -80,6 +82,26 @@ final class BatchTrace(
     var i = 0
     while (i < actQid.length) { if (actQid(i) == qid) b += actVid(i); i += 1 }
     b.result()
+  }
+
+  /** [[globalScope]] of every query of the batch (and of any other qid
+    * with activations), in one pass over the activation columns.
+    */
+  def globalScopes: Map[Int, Set[Int]] = {
+    val builders = mutable.HashMap.empty[Int, mutable.Builder[Int, Set[Int]]]
+    for (q <- queries) builders(q.qid) = Set.newBuilder[Int]
+    var lastQid = 0
+    var last: mutable.Builder[Int, Set[Int]] = null
+    var i = 0
+    while (i < actQid.length) {
+      if (last == null || actQid(i) != lastQid) {
+        lastQid = actQid(i)
+        last = builders.getOrElseUpdate(lastQid, Set.newBuilder[Int])
+      }
+      last += actVid(i)
+      i += 1
+    }
+    builders.iterator.map { case (q, b) => q -> b.result() }.toMap
   }
 
   private def columns: Seq[AnyRef] =

@@ -8,6 +8,16 @@ package repro.qcut
   * moved pair δ-balanced (line 15) — is evaluated; the cheapest one is taken
   * if it strictly improves the cost, otherwise the current state is a local
   * minimum and is returned.
+  *
+  * Successors are evaluated by exact cost delta, as in the gain bookkeeping
+  * of Fiduccia–Mattheyses: a move of cluster `c` from `from` to `to` changes
+  * only the local scopes on `from` and `to` of the queries in the moved
+  * atoms' signatures, and leaves each query's Σ_w |LS(q,w)| unchanged, so the
+  * move's cost is the current cost plus, over those queries, the old minus
+  * the new max_w |LS(q,w)|. Nothing is applied or undone during the scan. The
+  * scan order (cluster, then source, then destination worker) and the strict
+  * `<` tie-break are those of evaluating every successor in full: the first
+  * cheapest successor in that order wins.
   */
 object LocalSearch {
 
@@ -40,21 +50,75 @@ object LocalSearch {
     * Algorithm 2 lines 5-9).
     */
   def bestSuccessor(s: QCutState): Option[(Move, Long)] = {
-    var best: Option[(Move, Long)] = None
+    val k = s.k
+    val nQ = s.nQueries
+    val cost0 = s.cost
+    // Per query: its largest local scope, on worker top1w, and its second
+    // largest (on another worker).
+    val top1 = new Array[Long](nQ); val top2 = new Array[Long](nQ); val top1w = new Array[Int](nQ)
+    var qi = 0
+    while (qi < nQ) {
+      var t1 = -1L; var t2 = -1L; var w1 = -1
+      var w = 0
+      while (w < k) {
+        val x = s.localScope(qi, w)
+        if (x > t1) { t2 = t1; t1 = x; w1 = w } else if (x > t2) t2 = x
+        w += 1
+      }
+      top1(qi) = t1; top2(qi) = t2; top1w(qi) = w1
+      qi += 1
+    }
+    // Scope each query loses on `from` in the current (c, from) move, for
+    // the `nTouched` queries listed in `touched` (those stamped `stamp`).
+    val mass = new Array[Long](nQ)
+    val seen = new Array[Int](nQ)
+    val touched = new Array[Int](nQ)
+    var stamp = 0
+    var bestMove: Move = null
+    var bestCost = 0L
     var c = 0
     while (c < s.nClusters) {
       var from = 0
-      while (from < s.k) {
+      while (from < k) {
         if (s.clusterScope(c, from) > 0) {
-          // Atom set is identical for every destination; compute it once.
-          val idxs = s.clusterAtomsOn(c, from)
+          // The moved atoms, their mass per query and dV/dS are the same for
+          // every destination; compute them once.
+          val idxs = s.atomsOn(c, from)
+          stamp += 1
+          var nTouched = 0
+          var dV = 0L; var dS = 0L
+          var j = 0
+          while (j < idxs.length) {
+            val i = idxs(j)
+            val sz = s.atoms(i).size.toLong
+            val qs = s.atomQueries(i)
+            dV += sz; dS += sz * qs.length
+            var t = 0
+            while (t < qs.length) {
+              val q = qs(t)
+              if (seen(q) != stamp) { seen(q) = stamp; mass(q) = 0L; touched(nTouched) = q; nTouched += 1 }
+              mass(q) += sz
+              t += 1
+            }
+            j += 1
+          }
           var to = 0
-          while (to < s.k) {
-            if (to != from && s.moveKeepsPairBalanced(idxs, to)) {
-              s.moveAtoms(idxs, to)
-              val cost = s.cost
-              s.moveAtoms(idxs, from) // undo
-              if (best.isEmpty || cost < best.get._2) best = Some((Move(c, from, to), cost))
+          while (to < k) {
+            if (to != from && s.pairBalancedAfter(from, to, dV, dS)) {
+              var cost = cost0
+              var t = 0
+              while (t < nTouched) {
+                val q = touched(t)
+                val m = mass(q)
+                // Only `from` loses scope, so the new max is the larger of
+                // the new scope on `from` and the old max over the other
+                // workers, raised to the new scope on `to`.
+                val maxOffFrom = if (top1w(q) != from) top1(q) else top2(q)
+                val newMax = math.max(math.max(maxOffFrom, s.localScope(q, to) + m), s.localScope(q, from) - m)
+                cost += top1(q) - newMax
+                t += 1
+              }
+              if (bestMove == null || cost < bestCost) { bestMove = Move(c, from, to); bestCost = cost }
             }
             to += 1
           }
@@ -63,6 +127,6 @@ object LocalSearch {
       }
       c += 1
     }
-    best
+    if (bestMove == null) None else Some((bestMove, bestCost))
   }
 }

@@ -7,8 +7,9 @@ import scala.util.Random
   * @param budgetMs   wall-clock budget — the paper gives the controller 2
   *                   seconds and interrupts "as soon as a result is needed"
   *                   (Appendix A.3)
-  * @param maxRounds  deterministic cap on perturbation rounds (tests use
-  *                   this instead of wall-clock so results are reproducible)
+  * @param maxRounds  deterministic cap on ILS rounds; tests and benches stop
+  *                   on it before the wall-clock budget, so their results
+  *                   are reproducible
   * @param seed       RNG seed for perturbation and clustering
   */
 final case class IlsConfig(budgetMs: Long = 2000, maxRounds: Int = Int.MaxValue, seed: Long = 17)

@@ -1,7 +1,5 @@
 package repro.qcut
 
-import scala.collection.mutable
-
 /** A mutable ILS solution state over scope atoms.
   *
   * The state tracks, per worker: the vertex count |V(w)|, the summed local
@@ -21,6 +19,10 @@ import scala.collection.mutable
   * change from the moved atoms (vertices and scope multiplicities), which is
   * strictly more faithful to the workload definition. The δ-threshold form
   * of the predicate is the paper's.
+  *
+  * The window's atom indices (query indices and clusters per atom, atoms per
+  * cluster) are built once by [[QCutState.build]] and shared by every
+  * [[copyState]]; only the assignment and the per-worker counts are copied.
   */
 final class QCutState private (
     val atoms: IndexedSeq[Atom],
@@ -29,26 +31,22 @@ final class QCutState private (
     val nClusters: Int,
     val k: Int,
     val delta: Double,
-    val untouched: Array[Long],
     val assign: Array[Int],
-    // caches, all owned by this instance:
-    private val ls: Array[Array[Long]],
-    private val clusterMass: Array[Array[Long]],
+    private val index: QCutState.Index,
+    // caches, all owned by this instance; per-(query, worker) and
+    // per-(cluster, worker) counts are flat, row-major with stride k:
+    private val ls: Array[Long],
+    private val clusterMass: Array[Long],
     private val vCount: Array[Long],
     private val sCount: Array[Long]) {
-
-  private val qIndex: Map[Int, Int] = queryIds.zipWithIndex.toMap
-  /** Per atom: distinct clusters its signature intersects. */
-  private val atomClusters: IndexedSeq[Array[Int]] =
-    atoms.map(a => a.sig.map(q => clusterOfQuery(qIndex(q))).distinct.sorted.toArray)
 
   def nQueries: Int = queryIds.length
 
   /** |LS(q, w)| for query index (not qid!) `qi`. */
-  def localScope(qi: Int, w: Int): Long = ls(qi)(w)
+  def localScope(qi: Int, w: Int): Long = ls(qi * k + w)
 
   /** Union scope size of cluster `c` on worker `w`. */
-  def clusterScope(c: Int, w: Int): Long = clusterMass(c)(w)
+  def clusterScope(c: Int, w: Int): Long = clusterMass(c * k + w)
 
   /** The paper's workload L_w. */
   def load(w: Int): Double = (vCount(w) + sCount(w)) / 2.0
@@ -59,7 +57,7 @@ final class QCutState private (
     var qi = 0
     while (qi < nQueries) {
       var sum = 0L; var max = 0L; var w = 0
-      while (w < k) { val x = ls(qi)(w); sum += x; if (x > max) max = x; w += 1 }
+      while (w < k) { val x = ls(qi * k + w); sum += x; if (x > max) max = x; w += 1 }
       total += sum - max
       qi += 1
     }
@@ -81,11 +79,14 @@ final class QCutState private (
     max == 0 || (max - min) / max < delta
   }
 
-  /** Atoms on `from` whose signature intersects cluster `c`. */
-  def clusterAtomsOn(c: Int, from: Int): Vector[Int] =
-    atoms.indices.iterator
-      .filter(i => assign(i) == from && atomClusters(i).contains(c))
-      .toVector
+  /** Atoms on `from` whose signature intersects cluster `c`, ascending. */
+  def clusterAtomsOn(c: Int, from: Int): Vector[Int] = atomsOn(c, from).toVector
+
+  /** [[clusterAtomsOn]] as an array: scans only cluster `c`'s atoms. */
+  private[qcut] def atomsOn(c: Int, from: Int): Array[Int] = index.clusterAtoms(c).filter(assign(_) == from)
+
+  /** Query indices of atom `i`'s signature, ascending. */
+  private[qcut] def atomQueries(i: Int): Array[Int] = index.atomQueries(i)
 
   /** Would moving `atomIdxs` from their (common) worker to `to` keep the
     * moved-pair balanced? Returns the predicate of Algorithm 2 line 15 with
@@ -100,42 +101,53 @@ final class QCutState private (
       dV += atoms(i).size
       dS += atoms(i).size.toLong * atoms(i).sig.length
     }
+    pairBalancedAfter(from, to, dV, dS)
+  }
+
+  /** The predicate of [[moveKeepsPairBalanced]] for a move of `dV` vertices
+    * carrying `dS` scope multiplicity from `from` to `to`.
+    */
+  private[qcut] def pairBalancedAfter(from: Int, to: Int, dV: Long, dS: Long): Boolean = {
     val newFrom = (vCount(from) - dV + sCount(from) - dS) / 2.0
     val newTo = (vCount(to) + dV + sCount(to) + dS) / 2.0
     val m = math.max(newFrom, newTo)
     m == 0 || math.abs(newFrom - newTo) / m < delta
   }
 
-  /** Moves the given atoms (all on one worker) to `to`; returns the moved
-    * indices so the caller can `moveAtoms(idxs, from)` to undo.
+  /** Moves the given atoms to `to`; atoms already there stay. Moving them
+    * back to their former worker undoes the move.
     */
-  def moveAtoms(atomIdxs: Seq[Int], to: Int): Unit =
-    for (i <- atomIdxs) {
-      val from = assign(i)
-      if (from != to) {
-        val a = atoms(i)
-        val sz = a.size.toLong
-        assign(i) = to
-        vCount(from) -= sz; vCount(to) += sz
-        sCount(from) -= sz * a.sig.length; sCount(to) += sz * a.sig.length
-        for (q <- a.sig) { val qi = qIndex(q); ls(qi)(from) -= sz; ls(qi)(to) += sz }
-        for (c <- atomClusters(i)) { clusterMass(c)(from) -= sz; clusterMass(c)(to) += sz }
-      }
+  def moveAtoms(atomIdxs: Seq[Int], to: Int): Unit = atomIdxs.foreach(moveAtom(_, to))
+
+  private def moveAtom(i: Int, to: Int): Unit = {
+    val from = assign(i)
+    if (from != to) {
+      val sz = atoms(i).size.toLong
+      val qs = index.atomQueries(i)
+      assign(i) = to
+      vCount(from) -= sz; vCount(to) += sz
+      sCount(from) -= sz * qs.length; sCount(to) += sz * qs.length
+      var j = 0
+      while (j < qs.length) { val row = qs(j) * k; ls(row + from) -= sz; ls(row + to) += sz; j += 1 }
+      val cs = index.atomClusters(i)
+      j = 0
+      while (j < cs.length) { val row = cs(j) * k; clusterMass(row + from) -= sz; clusterMass(row + to) += sz; j += 1 }
     }
+  }
 
   /** `move(LS(c, from), from, to)` lifted to cluster `c`; returns the moved
     * atom indices (empty if the cluster has no scope on `from`).
     */
   def moveCluster(c: Int, from: Int, to: Int): Vector[Int] = {
-    val idxs = clusterAtomsOn(c, from)
-    moveAtoms(idxs, to)
-    idxs
+    val idxs = atomsOn(c, from)
+    idxs.foreach(moveAtom(_, to))
+    idxs.toVector
   }
 
-  /** Deep copy (atoms are shared, caches are cloned). */
+  /** Deep copy (atoms and indices are shared, caches are cloned). */
   def copyState(): QCutState =
-    new QCutState(atoms, queryIds, clusterOfQuery, nClusters, k, delta, untouched,
-      assign.clone(), ls.map(_.clone()), clusterMass.map(_.clone()), vCount.clone(), sCount.clone())
+    new QCutState(atoms, queryIds, clusterOfQuery, nClusters, k, delta, assign.clone(), index,
+      ls.clone(), clusterMass.clone(), vCount.clone(), sCount.clone())
 
   /** Translates the high-level solution back to a vertex assignment
     * (step 3 of the MAPE strategy, Fig. 3): applies every atom that moved
@@ -156,6 +168,17 @@ final class QCutState private (
 
 object QCutState {
 
+  /** Read-only indices of one window's atoms, shared by all copies.
+    *
+    * @param atomQueries  per atom: query indices of its signature, ascending
+    * @param atomClusters per atom: distinct clusters its signature intersects, ascending
+    * @param clusterAtoms per cluster: atoms whose signature intersects it, ascending
+    */
+  private[qcut] final class Index(
+      val atomQueries: Array[Array[Int]],
+      val atomClusters: Array[Array[Int]],
+      val clusterAtoms: Array[Array[Int]])
+
   /** Builds the initial ILS state ("as received by the workers",
     * Appendix A.3) from atoms and the per-worker total vertex counts.
     *
@@ -170,28 +193,31 @@ object QCutState {
       k: Int,
       delta: Double,
       clusterOfQuery: Array[Int]): QCutState = {
-    val queryIds = atoms.flatMap(_.sig).distinct.sorted
+    val queryIds = atoms.flatMap(_.sig).distinct.sorted.toArray
     require(clusterOfQuery.length == queryIds.length,
       s"clusterOfQuery size ${clusterOfQuery.length} != ${queryIds.length} queries")
     val nClusters = if (clusterOfQuery.isEmpty) 0 else clusterOfQuery.max + 1
-    val qIndex = queryIds.zipWithIndex.toMap
-    val ls = Array.fill(queryIds.length)(Array.fill(k)(0L))
-    val clusterMass = Array.fill(nClusters)(Array.fill(k)(0L))
-    val vTouched = Array.fill(k)(0L)
-    val sCount = Array.fill(k)(0L)
-    val assign = atoms.map(_.worker).toArray
-    for (a <- atoms) {
+    val atomQueries = atoms.iterator.map(a => a.sig.iterator.map(java.util.Arrays.binarySearch(queryIds, _)).toArray).toArray
+    val atomClusters = atomQueries.map(qs => qs.map(clusterOfQuery(_)).distinct.sorted)
+    val clusterAtoms = {
+      val acc = Array.fill(nClusters)(Array.newBuilder[Int])
+      for (i <- atomClusters.indices; c <- atomClusters(i)) acc(c) += i
+      acc.map(_.result())
+    }
+    val ls = new Array[Long](queryIds.length * k)
+    val clusterMass = new Array[Long](nClusters * k)
+    val vTouched = new Array[Long](k)
+    val sCount = new Array[Long](k)
+    for (i <- atoms.indices) {
+      val a = atoms(i)
       val sz = a.size.toLong
       vTouched(a.worker) += sz
       sCount(a.worker) += sz * a.sig.length
-      for (q <- a.sig) ls(qIndex(q))(a.worker) += sz
-      for (c <- a.sig.map(q => clusterOfQuery(qIndex(q))).distinct)
-        clusterMass(c)(a.worker) += sz
+      for (qi <- atomQueries(i)) ls(qi * k + a.worker) += sz
+      for (c <- atomClusters(i)) clusterMass(c * k + a.worker) += sz
     }
-    val untouched = Array.tabulate(k)(w => totalPerWorker(w) - vTouched(w))
-    require(untouched.forall(_ >= 0L), "totalPerWorker smaller than touched vertices")
-    val vCount = totalPerWorker.clone()
-    new QCutState(atoms, queryIds, clusterOfQuery, nClusters, k, delta, untouched,
-      assign, ls, clusterMass, vCount, sCount)
+    require((0 until k).forall(w => totalPerWorker(w) >= vTouched(w)), "totalPerWorker smaller than touched vertices")
+    new QCutState(atoms, queryIds.toIndexedSeq, clusterOfQuery, nClusters, k, delta, atoms.map(_.worker).toArray,
+      new Index(atomQueries, atomClusters, clusterAtoms), ls, clusterMass, totalPerWorker.clone(), sCount)
   }
 }

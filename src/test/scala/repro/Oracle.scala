@@ -5,6 +5,7 @@ import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.engine.BatchTrace
 import repro.graph.RoadNetwork
+import repro.qcut.{Atom, LocalSearch, QCutState}
 
 /** DuckDB correctness oracle.
   *
@@ -17,9 +18,10 @@ import repro.graph.RoadNetwork
   * ``count(*)`` as ``count(1)``, DuckDB as ``count_star()``). Project
   * to scalar columns — array/map/struct are not comparable here.
   *
-  * The remaining members are DataFrame twins of driver-side structures:
-  * the Spark inputs of the oracle checks, and Spark re-implementations of
-  * the per-worker aggregations the tests cross-check.
+  * Further members are DataFrame twins of driver-side structures: the
+  * Spark inputs of the oracle checks, and Spark re-implementations of the
+  * per-worker aggregations the tests cross-check. The last ones are the
+  * Q-cut definitions the incremental search must agree with.
   */
 object Oracle {
 
@@ -122,4 +124,40 @@ object Oracle {
       .join(assignmentDf, "vid")
       .groupBy(col("qid"), col("worker"))
       .agg(count(lit(1)).as("scope_size"))
+
+  /** `QCutState.clusterAtomsOn` by its definition: every atom on `from`
+    * whose signature holds a query of cluster `c`, ascending.
+    */
+  def clusterAtomsOn(s: QCutState, c: Int, from: Int): Vector[Int] =
+    s.atoms.indices.filter { i =>
+      s.assign(i) == from && s.atoms(i).sig.exists(q => s.clusterOfQuery(s.queryIds.indexOf(q)) == c)
+    }.toVector
+
+  /** `LocalSearch.bestSuccessor` by brute force: apply every balanced
+    * successor, compute the full cost, undo it; the first cheapest wins.
+    */
+  def bestSuccessor(s: QCutState): Option[(LocalSearch.Move, Long)] = {
+    var best: Option[(LocalSearch.Move, Long)] = None
+    for (c <- 0 until s.nClusters; from <- 0 until s.k if s.clusterScope(c, from) > 0) {
+      val idxs = clusterAtomsOn(s, c, from)
+      for (to <- 0 until s.k if to != from && s.moveKeepsPairBalanced(idxs, to)) {
+        s.moveAtoms(idxs, to)
+        val cost = s.cost
+        s.moveAtoms(idxs, from)
+        if (best.isEmpty || cost < best.get._2) best = Some((LocalSearch.Move(c, from, to), cost))
+      }
+    }
+    best
+  }
+
+  /** `ScopeAtoms.build` by its definition over boxed maps: group vertices
+    * by (sorted query set, worker), order by (`sig.mkString(",")`, worker).
+    */
+  def scopeAtoms(scopes: Map[Int, Set[Int]], assign: Int => Int): Vector[Atom] = {
+    val sigOf = scala.collection.mutable.HashMap.empty[Int, Vector[Int]]
+    for ((qid, scope) <- scopes.toSeq.sortBy(_._1); v <- scope) sigOf(v) = sigOf.getOrElse(v, Vector.empty) :+ qid
+    sigOf.toVector.groupBy { case (v, sig) => (sig, assign(v)) }.toVector
+      .sortBy { case ((sig, w), _) => (sig.mkString(","), w) }
+      .map { case ((sig, w), vs) => Atom(sig, w, vs.map(_._1).sorted.toArray) }
+  }
 }

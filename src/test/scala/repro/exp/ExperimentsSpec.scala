@@ -1,7 +1,11 @@
 package repro.exp
 
 import repro.SparkSpec
+import repro.core.{QGraphRunner, RunConfig}
 import repro.engine.BatchTrace
+import repro.partition.HashPartitioner
+import repro.sim.CostModel
+import repro.sync.BarrierMode
 
 /** End-to-end harness tests at unit-test scale: every figure harness runs
   * and produces the qualitative shape the paper reports (the quantitative
@@ -128,6 +132,21 @@ class ExperimentsSpec extends SparkSpec {
     val rep = Experiments.ldgComparison(spark, s)
     assert(rep.ldgImbalance > rep.hashImbalance,
       s"LDG ${rep.ldgImbalance} vs Hash ${rep.hashImbalance}")
+  }
+
+  test("default controller settings make a bench-scale adaptive run bit-reproducible") {
+    // Hash+Q-cut at k=8 on the BW-lite phase-1 traces, as Figs 5a/6a run it:
+    // the ILS is bounded by its round cap, not by the wall clock.
+    val bw = ExpScale.bw
+    val traces = Traces.sssp(spark, bw)
+    val cfg = RunConfig("Hash+Q-cut", bw.k, BarrierMode.Hybrid, adaptive = true, CostModel.default,
+      Experiments.controllerConfig())
+    val assign = HashPartitioner.assign(bw.network, bw.k)
+    val a = QGraphRunner.run(assign, traces, cfg)
+    val b = QGraphRunner.run(assign, traces, cfg)
+    assert(a.repartitions > 0)
+    assert(a.queryLatencies === b.queryLatencies)
+    assert(a.batches === b.batches)
   }
 
   test("full-graph baseline activates far more vertices (GraphX remark)") {

@@ -2,6 +2,8 @@ package repro.props
 
 import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalatest.funsuite.AnyFunSuite
+import repro.Oracle
+import repro.engine.{ActRec, BatchTrace, Query, QueryKind}
 import repro.qcut._
 import repro.sim.QueryIterStat
 import repro.workload.QueryWorkload
@@ -91,6 +93,81 @@ class PropertySpec extends AnyFunSuite {
         val s = QCutState.build(atoms, totals, k, 10.0, KargerClustering.identityClusters(qids.size))
         s.cost == 0L
       }
+    })
+  }
+
+  test("property: ScopeAtoms.build returns the atoms of its definition, in its order") {
+    check(Prop.forAll(genScopes, Gen.choose(1, 5)) { (scopes, k) =>
+      val assign: Int => Int = v => (v * 7 + 3) % k
+      val got = ScopeAtoms.build(scopes, assign)
+      val want = Oracle.scopeAtoms(scopes, assign)
+      got.map(a => (a.sig, a.worker, a.vids.toVector)) == want.map(a => (a.sig, a.worker, a.vids.toVector))
+    })
+  }
+
+  /** A Q-cut state over random scopes on k in [2, 16] workers, with a
+    * tight or loose δ, identity or Karger clusters, after a few random
+    * cluster moves.
+    */
+  private val genQCutState: Gen[QCutState] = for {
+    k <- Gen.choose(2, 16)
+    nV <- Gen.choose(8, 60)
+    nQ <- Gen.choose(1, 12)
+    scopes <- Gen.sequence[List[(Int, Set[Int])], (Int, Set[Int])](
+      (0 until nQ).map(q => Gen.nonEmptyContainerOf[Set, Int](Gen.choose(0, nV - 1)).map(s => (3 * q + 1) -> s)))
+    delta <- Gen.oneOf(0.02, 0.1, 0.25, 0.5, 10.0)
+    karger <- Gen.oneOf(false, true)
+    nMoves <- Gen.choose(0, 8)
+    seed <- Gen.choose(0L, Long.MaxValue)
+  } yield {
+    val rng = new scala.util.Random(seed)
+    val assign = Array.fill(nV)(rng.nextInt(k))
+    val atoms = ScopeAtoms.build(scopes.toMap, assign)
+    val totals = Array.fill(k)(0L)
+    assign.foreach(w => totals(w) += 1L)
+    val qids = atoms.flatMap(_.sig).distinct.sorted
+    val clusters =
+      if (karger) KargerClustering.cluster(qids, KargerClustering.overlapsFromAtoms(atoms), 1 + rng.nextInt(qids.size), rng)
+      else KargerClustering.identityClusters(qids.size)
+    val s = QCutState.build(atoms, totals, k, delta, clusters)
+    for (_ <- 0 until nMoves) {
+      val c = rng.nextInt(s.nClusters)
+      val from = rng.nextInt(k)
+      s.moveCluster(c, from, (from + 1 + rng.nextInt(k - 1)) % k)
+    }
+    s
+  }
+
+  test("property: delta-evaluated bestSuccessor equals apply/cost/undo along a whole descent") {
+    check(Prop.forAll(genQCutState) { s =>
+      var ok = true
+      var steps = 0
+      var continue = true
+      while (ok && continue && steps < 200) {
+        val best = LocalSearch.bestSuccessor(s)
+        ok = best == Oracle.bestSuccessor(s) &&
+          (0 until s.nClusters).forall(c => (0 until s.k).forall(w => s.clusterAtomsOn(c, w) == Oracle.clusterAtomsOn(s, c, w)))
+        best match {
+          case Some((m, cost)) if ok && cost < s.cost =>
+            s.moveCluster(m.c, m.from, m.to)
+            ok = s.cost == cost
+            steps += 1
+          case _ => continue = false
+        }
+      }
+      ok
+    }, minTests = 200)
+  }
+
+  test("property: globalScopes gives every query's globalScope in one pass") {
+    val genActs = Gen.listOf(for {
+      q <- Gen.choose(0, 5); i <- Gen.choose(0, 3); v <- Gen.choose(0, 20)
+    } yield ActRec(q, i, v))
+    check(Prop.forAll(genActs) { acts =>
+      val queries = (0 to 3).map(q => Query(q, QueryKind.Sssp, 0, 1, 0, 0)).toVector
+      val t = BatchTrace(0, queries, 4, acts, Nil, Map.empty, Map.empty)
+      val all = t.globalScopes
+      all.keySet == queries.map(_.qid).toSet ++ acts.map(_.qid) && all.forall { case (q, s) => s == t.globalScope(q) }
     })
   }
 
