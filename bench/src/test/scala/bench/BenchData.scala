@@ -23,12 +23,4 @@ object BenchData {
   /** Fig 6c source: POI totals on BW. */
   lazy val bwPoiFourWay: Experiments.FourWay =
     Experiments.fourWay(bw.network, Traces.poi(spark, bw), bw.k)
-
-  /** Phase-1-only (steady-state intra-urban) totals for Fig 6a/6b. */
-  def phase1Totals(rep: Experiments.AdaptivityReport, name: String): Experiments.TotalsReport = {
-    val totals = rep.fourWay.all.map { case (n, r) =>
-      n -> r.batches.take(rep.nBatchesPhase1).map(_.sumLatency).sum
-    }.toMap
-    Experiments.TotalsReport(name, totals)
-  }
 }

@@ -9,8 +9,8 @@ import repro.exp.{Experiments, Reports}
   */
 class Fig6abcBench extends SparkSpec {
 
-  private lazy val t6a = BenchData.phase1Totals(BenchData.bwAdaptivity, "BW / SSSP (Fig 6a)")
-  private lazy val t6b = BenchData.phase1Totals(BenchData.gyAdaptivity, "GY / SSSP (Fig 6b)")
+  private lazy val t6a = BenchData.bwAdaptivity.phase1Totals("BW / SSSP (Fig 6a)")
+  private lazy val t6b = BenchData.gyAdaptivity.phase1Totals("GY / SSSP (Fig 6b)")
   private lazy val t6c = Experiments.totals("BW / POI (Fig 6c)", BenchData.bwPoiFourWay)
 
   test("report: Fig 6a") {

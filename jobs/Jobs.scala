@@ -44,15 +44,9 @@ object Fig6abc {
     val spark = JobSession.create("qgraph-fig6abc")
     try {
       val bw = Experiments.adaptivity(spark, ExpScale.bw)
-      val bwTotals = Experiments.TotalsReport("BW / SSSP (Fig 6a)",
-        bw.fourWay.all.map { case (n, r) =>
-          n -> r.batches.take(bw.nBatchesPhase1).map(_.sumLatency).sum
-        }.toMap)
-      println(Reports.totals(bwTotals, "Fig 6a", "-43% vs Hash, -22% vs Domain"))
+      println(Reports.totals(bw.phase1Totals("BW / SSSP (Fig 6a)"), "Fig 6a", "-43% vs Hash, -22% vs Domain"))
       val gy = Experiments.adaptivity(spark, ExpScale.gy)
-      val gyTotals = Experiments.TotalsReport("GY / SSSP (Fig 6b)",
-        gy.fourWay.all.map { case (n, r) => n -> r.totalLatency }.toMap)
-      println(Reports.totals(gyTotals, "Fig 6b", "-13% vs Hash, -25% vs Domain"))
+      println(Reports.totals(gy.phase1Totals("GY / SSSP (Fig 6b)"), "Fig 6b", "-13% vs Hash, -25% vs Domain"))
       val poi = Experiments.fourWay(ExpScale.bw.network,
         Traces.poi(spark, ExpScale.bw), ExpScale.bw.k)
       println(Reports.totals(Experiments.totals("BW / POI (Fig 6c)", poi),

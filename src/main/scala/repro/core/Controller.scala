@@ -83,12 +83,11 @@ final class Controller(k: Int, cfg: ControllerConfig) {
 
   private val window = mutable.ArrayDeque.empty[WindowEntry]
   private val rng = new Random(cfg.ils.seed)
-  // Per-worker activation loads of the most recent batches; the imbalance
-  // trigger is smoothed over this horizon (the paper smooths its workload
-  // measurements over sliding windows, Fig. 6e) so one skewed batch of 16
-  // query arrivals does not cause a repartition storm.
+  // Per-worker activation loads of the `Metrics.ImbalanceWindow` most
+  // recent batches; the imbalance trigger is smoothed over them (the paper
+  // smooths its workload measurements over sliding windows, Fig. 6e) so one
+  // skewed batch of 16 query arrivals does not cause a repartition storm.
   private val recentLoads = mutable.ArrayDeque.empty[Map[Int, Long]]
-  private val imbalanceHorizon = 4
 
   /** Ingests the statistics of a completed batch at simulated time `now`
     * and evicts entries older than μ (keeping at most `maxQueries`).
@@ -101,16 +100,11 @@ final class Controller(k: Int, cfg: ControllerConfig) {
     while (window.nonEmpty && window.head.endTime < now - cfg.muSimSeconds) window.removeHead()
     while (window.size > cfg.maxQueries) window.removeHead()
     recentLoads.append(Metrics.workerLoads(stats, k))
-    while (recentLoads.size > imbalanceHorizon) recentLoads.removeHead()
+    while (recentLoads.size > Metrics.ImbalanceWindow) recentLoads.removeHead()
   }
 
   /** Active-vertex workload imbalance smoothed over the recent batches. */
-  def lastImbalance: Double = {
-    if (recentLoads.isEmpty) return 0.0
-    val agg = Array.fill(k)(0.0)
-    for (m <- recentLoads; (w, n) <- m) agg(w) += n.toDouble
-    Metrics.imbalanceOfLoads(agg.toSeq)
-  }
+  def lastImbalance: Double = Metrics.windowImbalance(recentLoads, k)
 
   /** Number of queries currently in the monitoring window. */
   def windowSize: Int = window.size

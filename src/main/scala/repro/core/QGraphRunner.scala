@@ -74,35 +74,38 @@ object QGraphRunner {
       val sim = LatencySimulator.simulateBatch(stats, cfg.k, cfg.barrier, cfg.cost)
       clock += sim.makespan
       latencies ++= sim.latency
-      controller.observeBatch(trace, stats, clock)
 
       var repartitioned = false
       var moved = 0L
-      if (cfg.adaptive && controller.shouldRepartition) {
-        val outcome = controller.repartition(assign)
-        // Hysteresis: enact the plan only when it buys something *relative
-        // to the incumbent* — a real query-cut cost reduction, or a balance
-        // repair that lowers the predicted peak worker load. Shuffling
-        // scopes for a marginal gain would thrash the partitioning under a
-        // drifting workload (every move is paid at a global barrier).
-        val worthIt = outcome.costGainVsIncumbent >= 0.1 ||
-          (outcome.rebalanced && outcome.maxLoadAfter < 0.9 * outcome.maxLoadBefore)
-        if (outcome.movedVertices > 0 && worthIt) {
-          assign = outcome.newAssign
-          moved = outcome.movedVertices
-          repartitioned = true
-          ilsRuns += outcome.ils
-          clock += cfg.cost.tGlobalStopStart +
-            cfg.cost.tBarrierPerWorker * cfg.k +
-            cfg.cost.tMovePerVertex * moved
+      if (cfg.adaptive) {
+        controller.observeBatch(trace, stats, clock)
+        if (controller.shouldRepartition) {
+          val outcome = controller.repartition(assign)
+          // Hysteresis: enact the plan only when it buys something *relative
+          // to the incumbent* — a real query-cut cost reduction, or a balance
+          // repair that lowers the predicted peak worker load. Shuffling
+          // scopes for a marginal gain would thrash the partitioning under a
+          // drifting workload (every move is paid at a global barrier).
+          val worthIt = outcome.costGainVsIncumbent >= 0.1 ||
+            (outcome.rebalanced && outcome.maxLoadAfter < 0.9 * outcome.maxLoadBefore)
+          if (outcome.movedVertices > 0 && worthIt) {
+            assign = outcome.newAssign
+            moved = outcome.movedVertices
+            repartitioned = true
+            ilsRuns += outcome.ils
+            clock += cfg.cost.tGlobalStopStart +
+              cfg.cost.tBarrierPerWorker * cfg.k +
+              cfg.cost.tMovePerVertex * moved
+          }
         }
       }
+      val loads = Metrics.workerLoads(stats, cfg.k)
       batches += BatchOutcome(
         trace.batchId, trace.queries.size,
         sim.avgLatency, sim.sumLatency, sim.makespan,
         Metrics.avgQueryLocality(stats),
-        Metrics.workloadImbalance(stats, cfg.k),
-        Metrics.workerLoads(stats, cfg.k),
+        Metrics.windowImbalance(Seq(loads), cfg.k),
+        loads,
         repartitioned, moved)
     }
     RunResult(cfg, batches.result(), latencies.result(), ilsRuns.result())

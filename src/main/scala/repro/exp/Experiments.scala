@@ -192,6 +192,14 @@ object Experiments {
       val b = phase(base, from, until); val o = phase(opt, from, until)
       b.zip(o).map { case (x, y) => 1.0 - y / x }.max
     }
+
+    /** Figs. 6a/6b: summed latency per strategy over the phase-1
+      * (steady-state intra-urban) batches.
+      */
+    def phase1Totals(name: String): TotalsReport =
+      TotalsReport(name, fourWay.all.map { case (n, r) =>
+        n -> r.batches.take(nBatchesPhase1).map(_.sumLatency).sum
+      }.toMap)
   }
 
   def adaptivity(spark: SparkSession, s: ExpScale): AdaptivityReport = {

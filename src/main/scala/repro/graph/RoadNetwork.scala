@@ -46,16 +46,6 @@ final case class RoadNetwork(
   @inline def xOf(vid: Int): Int = vid % side
   @inline def yOf(vid: Int): Int = vid / side
 
-  /** SplitMix64 finaliser — the single hash used for all derived randomness
-    * (edge noise, POI tags) so driver and executor views agree bit-for-bit.
-    */
-  @inline private def mix64(z0: Long): Long = {
-    var z = z0 + 0x9e3779b97f4a7c15L
-    z = (z ^ (z >>> 30)) * 0xbf58476d1ce4e5b9L
-    z = (z ^ (z >>> 27)) * 0x94d049bb133111ebL
-    z ^ (z >>> 31)
-  }
-
   @inline private def unit(h: Long): Double = (h >>> 11).toDouble / (1L << 53).toDouble
 
   /** Travel time of the directed road segment src -> dst (same in both
@@ -64,12 +54,12 @@ final case class RoadNetwork(
   def edgeWeight(src: Int, dst: Int): Double = {
     val a = math.min(src, dst).toLong
     val b = math.max(src, dst).toLong
-    1.0 + 0.5 * unit(mix64(a * numVertices + b ^ (seed * 0x5851f42dL)))
+    1.0 + 0.5 * unit(RoadNetwork.mix64(a * numVertices + b ^ (seed * 0x5851f42dL)))
   }
 
   /** True if the vertex carries the POI tag (e.g. "gas station"). */
   def isTagged(vid: Int): Boolean =
-    java.lang.Long.remainderUnsigned(mix64(vid.toLong ^ (seed * 0x2545f491L)), tagRate.toLong) == 0L
+    java.lang.Long.remainderUnsigned(RoadNetwork.mix64(vid.toLong ^ (seed * 0x2545f491L)), tagRate.toLong) == 0L
 
   /** Index of the nearest city (Voronoi region) for a vertex. */
   def cityOf(vid: Int): Int = {
@@ -128,6 +118,17 @@ final case class RoadNetwork(
 }
 
 object RoadNetwork {
+
+  /** SplitMix64 finaliser — the single hash used for all derived randomness
+    * (edge noise, POI tags, Hash partitioning) so driver and executor views
+    * agree bit-for-bit.
+    */
+  @inline def mix64(z0: Long): Long = {
+    var z = z0 + 0x9e3779b97f4a7c15L
+    z = (z ^ (z >>> 30)) * 0xbf58476d1ce4e5b9L
+    z = (z ^ (z >>> 27)) * 0x94d049bb133111ebL
+    z ^ (z >>> 31)
+  }
 
   /** Places `nCities` centres by seeded rejection sampling with a minimum
     * pairwise separation, then assigns Zipf-like population shares

@@ -21,15 +21,8 @@ trait GraphPartitioner {
 object HashPartitioner extends GraphPartitioner {
   val name = "Hash"
 
-  @inline private def mix64(z0: Long): Long = {
-    var z = z0 + 0x9e3779b97f4a7c15L
-    z = (z ^ (z >>> 30)) * 0xbf58476d1ce4e5b9L
-    z = (z ^ (z >>> 27)) * 0x94d049bb133111ebL
-    z ^ (z >>> 31)
-  }
-
   def assign(g: RoadNetwork, k: Int): Array[Int] =
-    Array.tabulate(g.numVertices)(v => java.lang.Long.remainderUnsigned(mix64(v.toLong), k.toLong).toInt)
+    Array.tabulate(g.numVertices)(v => java.lang.Long.remainderUnsigned(RoadNetwork.mix64(v.toLong), k.toLong).toInt)
 }
 
 /** Domain partitioning — the paper's best-case *static* expert baseline:

@@ -1,7 +1,6 @@
 package repro.sim
 
 import repro.sync.BarrierMode
-import scala.collection.mutable
 
 /** Simulated outcome of one batch.
   *
@@ -38,21 +37,31 @@ object LatencySimulator {
 
   private val Eps = 1e-12
 
-  /** Compute + post-compute delay of one iteration of one query. */
-  private final case class IterCost(computeByWorker: Array[(Int, Double)], postDelay: Double)
+  /** One iteration of one query: vertex work per worker (a k-length vector,
+    * drained in place by [[share]]) and the communication + barrier delay
+    * that follows the compute phase.
+    */
+  private final class IterCost(val work: Array[Double], val postDelay: Double)
 
-  private def commCost(stat: QueryIterStat, c: CostModel): Double =
-    if (stat.remoteMsgs.isEmpty) 0.0
-    else c.tFlushPair * stat.remoteMsgs.size + c.tMsgRemote * stat.totalRemote
-
-  private def barrierCost(stat: QueryIterStat, k: Int, mode: BarrierMode, c: CostModel): Double =
-    mode match {
+  private def iterCost(s: QueryIterStat, k: Int, mode: BarrierMode, c: CostModel): IterCost = {
+    val involved = s.involvedWorkers
+    // Every involved worker (computing or receiving) pays the fixed
+    // per-(query, iteration) participation cost plus per-vertex work.
+    val work = new Array[Double](k)
+    for (w <- involved) work(w) = c.tIterWorker + s.actByWorker.getOrElse(w, 0) * c.tVertex
+    val comm =
+      if (s.remoteMsgs.isEmpty) 0.0
+      else c.tFlushPair * s.remoteMsgs.size + c.tMsgRemote * s.totalRemote
+    val barrier = mode match {
+      // Paid once per round, in `simulateLockstep`, not per query.
+      case BarrierMode.SharedGlobal => 0.0
       case BarrierMode.Hybrid =>
-        if (stat.isLocal) c.tBarrierLocal
-        else c.tBarrierBase + c.tBarrierPerWorker * stat.involvedWorkers.size
-      case BarrierMode.PerQueryGlobal | BarrierMode.SharedGlobal =>
-        c.tBarrierBase + c.tBarrierPerWorker * k
+        if (s.isLocal) c.tBarrierLocal
+        else c.tBarrierBase + c.tBarrierPerWorker * involved.size
+      case BarrierMode.PerQueryGlobal => c.tBarrierBase + c.tBarrierPerWorker * k
     }
+    new IterCost(work, comm + barrier)
+  }
 
   /** Simulates one batch. `stats` must come from `IterationStats.compute`. */
   def simulateBatch(
@@ -60,82 +69,69 @@ object LatencySimulator {
       k: Int,
       mode: BarrierMode,
       c: CostModel): BatchSim = {
-    val perQuery: Map[Int, Vector[IterCost]] =
-      IterationStats.byQuery(stats).map { case (qid, its) =>
-        qid -> its.map { s =>
-          // Every involved worker (computing or receiving) pays the fixed
-          // per-(query, iteration) participation cost plus per-vertex work.
-          val comp = s.involvedWorkers.toArray.map { w =>
-            (w, c.tIterWorker + s.actByWorker.getOrElse(w, 0) * c.tVertex)
-          }
-          // Under the shared-global model the barrier is paid once per round
-          // (in `simulateLockstep`), not per query.
-          val barrier = if (mode == BarrierMode.SharedGlobal) 0.0 else barrierCost(s, k, mode, c)
-          IterCost(comp, commCost(s, c) + barrier)
-        }
+    val perQuery: Array[(Int, Array[IterCost])] =
+      IterationStats.byQuery(stats).toArray.sortBy(_._1).map { case (qid, its) =>
+        qid -> its.map(iterCost(_, k, mode, c)).toArray
       }
     mode match {
-      case BarrierMode.SharedGlobal => simulateLockstep(perQuery, stats, k, c)
-      case _ => simulateDecoupled(perQuery)
+      case BarrierMode.SharedGlobal => simulateLockstep(perQuery, k, c)
+      case _ => simulateDecoupled(perQuery, k)
     }
+  }
+
+  /** Processor sharing: worker w serves the n(w) jobs with work above Eps
+    * on it at rate 1/n(w) each. Advances every job by dt, the smaller of
+    * `bound` and the time until the first (job, worker) share drains, and
+    * returns dt; it is infinite when no job has work and `bound` is.
+    */
+  private def share(jobs: Array[Array[Double]], k: Int, bound: Double): Double = {
+    val n = new Array[Int](k)
+    for (j <- jobs; w <- 0 until k) if (j(w) > Eps) n(w) += 1
+    var dt = bound
+    for (j <- jobs; w <- 0 until k) if (j(w) > Eps) dt = math.min(dt, j(w) * n(w))
+    if (dt.isFinite) for (j <- jobs; w <- 0 until k) if (j(w) > Eps) {
+      val r = j(w) - dt / n(w)
+      j(w) = if (r < Eps) 0.0 else r
+    }
+    dt
   }
 
   /** Decoupled modes: every query is an independent job over its iteration
     * list; workers are processor-shared among queries in their compute phase.
     */
-  private def simulateDecoupled(perQuery: Map[Int, Vector[IterCost]]): BatchSim = {
-    final class QState(val qid: Int, val iters: Vector[IterCost]) {
+  private def simulateDecoupled(perQuery: Array[(Int, Array[IterCost])], k: Int): BatchSim = {
+    final class QState(val qid: Int, val iters: Array[IterCost]) {
       var idx = 0
-      var remaining: mutable.HashMap[Int, Double] = _
       var wakeAt: Double = Double.NaN // NaN = computing
       var doneAt: Double = Double.NaN
+      def work: Array[Double] = iters(idx).work
       def done: Boolean = !doneAt.isNaN
       def computing: Boolean = !done && wakeAt.isNaN
-      def startIter(): Unit = {
-        remaining = mutable.HashMap.from(iters(idx).computeByWorker.filter(_._2 > 0))
-        wakeAt = Double.NaN
-      }
+      def waiting: Boolean = !done && !wakeAt.isNaN
+      /** Ends the compute phase at `t` once no work is left. */
+      def endCompute(t: Double): Unit = if (!work.exists(_ > Eps)) wakeAt = t + iters(idx).postDelay
     }
-    val qs = perQuery.toVector.sortBy(_._1).map { case (qid, its) => new QState(qid, its) }
-    qs.foreach(_.startIter())
+    val qs = perQuery.map { case (qid, its) => new QState(qid, its) }
+    qs.foreach(_.endCompute(0.0))
     var t = 0.0
     var nDone = 0
     while (nDone < qs.length) {
-      // Wake queries whose comm+barrier delay elapsed.
-      for (q <- qs if !q.done && !q.wakeAt.isNaN && q.wakeAt <= t + Eps) {
+      // Wake queries whose comm + barrier delay elapsed.
+      for (q <- qs if q.waiting && q.wakeAt <= t + Eps) {
         q.idx += 1
-        if (q.idx >= q.iters.length) { q.doneAt = q.wakeAt; nDone += 1 }
-        else q.startIter()
+        if (q.idx == q.iters.length) { q.doneAt = q.wakeAt; nDone += 1 }
+        else { q.wakeAt = Double.NaN; q.endCompute(t) }
       }
-      if (nDone >= qs.length) ()
-      else {
-        // Defensive: an iteration with no compute work goes straight to its
-        // comm + barrier delay (cannot occur for engine traces, where every
-        // iteration has >= 1 active vertex).
-        for (q <- qs if q.computing && q.remaining.isEmpty)
-          q.wakeAt = t + q.iters(q.idx).postDelay
-        val computing = qs.filter(_.computing)
-        if (computing.isEmpty) {
-          t = qs.iterator.filter(q => !q.done && !q.wakeAt.isNaN).map(_.wakeAt).min
-        } else {
-          // Processor sharing: worker w serves nShare(w) queries at rate 1/n.
-          val nShare = mutable.HashMap.empty[Int, Int]
-          for (q <- computing; (w, r) <- q.remaining if r > Eps)
-            nShare(w) = nShare.getOrElse(w, 0) + 1
-          var dt = Double.PositiveInfinity
-          for (q <- computing; (w, r) <- q.remaining if r > Eps)
-            dt = math.min(dt, r * nShare(w))
-          for (q <- qs if !q.done && !q.wakeAt.isNaN)
-            dt = math.min(dt, q.wakeAt - t)
-          require(dt > 0 && dt.isFinite, s"simulator stalled at t=$t (dt=$dt)")
-          for (q <- computing; (w, r) <- q.remaining if r > Eps) {
-            val nr = r - dt / nShare(w)
-            q.remaining(w) = if (nr < Eps) 0.0 else nr
-          }
-          t += dt
-          for (q <- computing if q.remaining.valuesIterator.forall(_ <= Eps))
-            q.wakeAt = t + q.iters(q.idx).postDelay
-        }
+      val computing = qs.filter(_.computing)
+      if (computing.nonEmpty) {
+        var bound = Double.PositiveInfinity
+        for (q <- qs if q.waiting) bound = math.min(bound, q.wakeAt - t)
+        val dt = share(computing.map(_.work), k, bound)
+        require(dt > 0 && dt.isFinite, s"simulator stalled at t=$t (dt=$dt)")
+        t += dt
+        computing.foreach(_.endCompute(t))
+      } else if (nDone < qs.length) {
+        t = qs.iterator.filter(_.waiting).map(_.wakeAt).min
       }
     }
     BatchSim(qs.map(q => q.qid -> q.doneAt).toMap, if (qs.isEmpty) 0.0 else qs.map(_.doneAt).max)
@@ -146,48 +142,22 @@ object LatencySimulator {
     * running queries wait on. Communication of different queries overlaps
     * (the round pays the max, not the sum).
     */
-  private def simulateLockstep(
-      perQuery: Map[Int, Vector[IterCost]],
-      stats: Vector[QueryIterStat],
-      k: Int,
-      c: CostModel): BatchSim = {
-    val maxIters = if (perQuery.isEmpty) 0 else perQuery.valuesIterator.map(_.length).max
-    val latency = mutable.HashMap.empty[Int, Double]
-    var t = 0.0
+  private def simulateLockstep(perQuery: Array[(Int, Array[IterCost])], k: Int, c: CostModel): BatchSim = {
+    val rounds = perQuery.map(_._2.length).maxOption.getOrElse(0)
+    val roundEnd = new Array[Double](rounds)
     val globalBarrier = c.tBarrierBase + c.tBarrierPerWorker * k
-    var r = 0
-    while (r < maxIters) {
-      val round = perQuery.toVector.filter(_._2.length > r)
-      val work = round.map(_._2(r).computeByWorker)
-      t += psMakespan(work)
-      t += (if (round.isEmpty) 0.0 else round.iterator.map(_._2(r).postDelay).max)
-      t += globalBarrier
-      for ((qid, its) <- round if its.length == r + 1) latency(qid) = t
-      r += 1
-    }
-    BatchSim(latency.toMap, t)
-  }
-
-  /** Makespan of a set of jobs' compute demands under per-worker processor
-    * sharing (all jobs start together, no further phases).
-    */
-  private def psMakespan(jobs: Vector[Array[(Int, Double)]]): Double = {
-    val rem = jobs.map(j => mutable.HashMap.from(j.filter(_._2 > 0)))
     var t = 0.0
-    var active = rem.count(_.nonEmpty)
-    while (active > 0) {
-      val nShare = mutable.HashMap.empty[Int, Int]
-      for (j <- rem; (w, r) <- j if r > Eps) nShare(w) = nShare.getOrElse(w, 0) + 1
-      var dt = Double.PositiveInfinity
-      for (j <- rem; (w, r) <- j if r > Eps) dt = math.min(dt, r * nShare(w))
-      if (!dt.isFinite) return t
-      for (j <- rem; (w, r) <- j if r > Eps) {
-        val nr = r - dt / nShare(w)
-        if (nr < Eps) j.remove(w) else j(w) = nr
-      }
-      t += dt
-      active = rem.count(_.exists(_._2 > Eps))
+    for (r <- 0 until rounds) {
+      val round = perQuery.collect { case (_, its) if its.length > r => its(r) }
+      val work = round.map(_.work)
+      var compute = 0.0
+      var dt = share(work, k, Double.PositiveInfinity)
+      while (dt.isFinite) { compute += dt; dt = share(work, k, Double.PositiveInfinity) }
+      t += compute
+      t += round.map(_.postDelay).max
+      t += globalBarrier
+      roundEnd(r) = t
     }
-    t
+    BatchSim(perQuery.map { case (qid, its) => qid -> roundEnd(its.length - 1) }.toMap, t)
   }
 }

@@ -26,11 +26,8 @@ object Metrics {
     * a worker executes during the batch; imbalance is the mean relative
     * deviation from the average worker workload.
     */
-  def workloadImbalance(stats: Vector[QueryIterStat], k: Int): Double = {
-    val load = Array.fill(k)(0.0)
-    for (s <- stats; (w, n) <- s.actByWorker) load(w) += n
-    imbalanceOfLoads(load)
-  }
+  def workloadImbalance(stats: Vector[QueryIterStat], k: Int): Double =
+    windowImbalance(Seq(workerLoads(stats, k)), k)
 
   /** Per-worker activation counts of a batch. */
   def workerLoads(stats: Vector[QueryIterStat], k: Int): Map[Int, Long] = {
@@ -45,16 +42,25 @@ object Metrics {
     if (avg == 0) 0.0 else load.map(l => math.abs(l - avg)).sum / load.size / avg
   }
 
+  /** Number of recent batches whose worker loads are summed before taking
+    * the imbalance, both for Fig. 6e and for the controller's trigger.
+    */
+  val ImbalanceWindow = 4
+
+  /** Imbalance of the worker loads summed over a window of batches. */
+  def windowImbalance(loads: Iterable[Map[Int, Long]], k: Int): Double = {
+    val agg = Array.fill(k)(0.0)
+    for (m <- loads; (w, n) <- m) agg(w) += n.toDouble
+    imbalanceOfLoads(agg.toSeq)
+  }
+
   /** Fig. 6e's smoothed imbalance: the paper measures workload over 60 s
     * windows (several batches) with a sliding average; this sums worker
     * loads over a sliding window of `window` batches.
     */
-  def slidingImbalance(loadsPerBatch: Seq[Map[Int, Long]], k: Int, window: Int = 4): Vector[Double] =
+  def slidingImbalance(loadsPerBatch: Seq[Map[Int, Long]], k: Int, window: Int = ImbalanceWindow): Vector[Double] =
     loadsPerBatch.indices.map { i =>
-      val slice = loadsPerBatch.slice(math.max(0, i - window + 1), i + 1)
-      val agg = Array.fill(k)(0.0)
-      for (m <- slice; (w, n) <- m) agg(w) += n.toDouble
-      imbalanceOfLoads(agg.toSeq)
+      windowImbalance(loadsPerBatch.slice(math.max(0, i - window + 1), i + 1), k)
     }.toVector
 
   /** The paper's query-cut metric (Section 2): the number of non-empty local

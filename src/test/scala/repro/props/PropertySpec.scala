@@ -5,7 +5,8 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.Oracle
 import repro.engine.{ActRec, BatchTrace, Query, QueryKind}
 import repro.qcut._
-import repro.sim.QueryIterStat
+import repro.sim.{CostModel, LatencySimulator, QueryIterStat}
+import repro.sync.BarrierMode
 import repro.workload.QueryWorkload
 
 /** Property-based invariants (plain ScalaCheck driven from ScalaTest — the
@@ -191,6 +192,65 @@ class PropertySpec extends AnyFunSuite {
       s.actByWorker.keySet.subsetOf(s.involvedWorkers) &&
         s.isLocal == (s.actByWorker.size <= 1)
     })
+  }
+
+  private val modes = Seq(BarrierMode.Hybrid, BarrierMode.PerQueryGlobal, BarrierMode.SharedGlobal)
+
+  private def genActs(k: Int): Gen[Map[Int, Int]] =
+    Gen.nonEmptyContainerOf[Set, Int](Gen.choose(0, k - 1))
+      .flatMap(ws => Gen.sequence[List[(Int, Int)], (Int, Int)](ws.toList.map(w => Gen.choose(1, 20).map(w -> _))))
+      .map(_.toMap)
+
+  test("property: processor sharing conserves work in every barrier mode") {
+    val gen = for {
+      k <- Gen.choose(1, 16)
+      nQ <- Gen.choose(1, 4)
+      acts <- Gen.listOfN(nQ, genActs(k))
+      tVertex <- Gen.choose(0.1, 3.0)
+      tIterWorker <- Gen.choose(0.0, 2.0)
+    } yield (k, acts, CostModel(tVertex = tVertex, tIterWorker = tIterWorker, tMsgRemote = 0.0,
+      tFlushPair = 0.0, tBarrierBase = 0.0, tBarrierPerWorker = 0.0, tBarrierLocal = 0.0))
+    check(Prop.forAllNoShrink(gen) { case (k, acts, c) =>
+      // One iteration per query, no messages and free barriers: nothing
+      // delays a query but the compute it shares with the others.
+      val stats = acts.zipWithIndex.map { case (a, q) => QueryIterStat(q, 0, a, Map.empty, 0) }.toVector
+      val work = acts.map(_.map { case (w, n) => w -> (c.tIterWorker + n * c.tVertex) })
+      val perWorker = work.flatten.groupMapReduce(_._1)(_._2)(_ + _)
+      modes.forall { mode =>
+        val r = LatencySimulator.simulateBatch(stats, k, mode, c)
+        math.abs(r.makespan - perWorker.values.max) < 1e-9 &&
+          work.indices.forall(q => r.latency(q) >= work(q).values.max - 1e-9)
+      }
+    }, minTests = 300)
+  }
+
+  test("property: a query running alone takes the sum of its iterations' compute and post-compute delay") {
+    val genIter = (k: Int) => for {
+      acts <- genActs(k)
+      pairs <- Gen.listOf(Gen.zip(Gen.choose(0, k - 1), Gen.choose(0, k - 1), Gen.choose(1, 30)))
+    } yield (acts, pairs.filter(p => p._1 != p._2).map(p => (p._1, p._2) -> p._3).toMap)
+    val gen = for {
+      k <- Gen.choose(1, 16)
+      nIter <- Gen.choose(1, 5)
+      iters <- Gen.listOfN(nIter, genIter(k))
+    } yield (k, iters)
+    val c = CostModel.default
+    check(Prop.forAllNoShrink(gen) { case (k, iters) =>
+      val stats = iters.zipWithIndex.map { case ((a, m), i) => QueryIterStat(7, i, a, m, 0) }.toVector
+      modes.forall { mode =>
+        val expected = stats.map { s =>
+          val compute = s.involvedWorkers.map(w => c.tIterWorker + s.actByWorker.getOrElse(w, 0) * c.tVertex).max
+          val comm = if (s.remoteMsgs.isEmpty) 0.0 else c.tFlushPair * s.remoteMsgs.size + c.tMsgRemote * s.totalRemote
+          val barrier =
+            if (mode == BarrierMode.Hybrid && s.isLocal) c.tBarrierLocal
+            else if (mode == BarrierMode.Hybrid) c.tBarrierBase + c.tBarrierPerWorker * s.involvedWorkers.size
+            else c.tBarrierBase + c.tBarrierPerWorker * k
+          compute + comm + barrier
+        }.sum
+        val r = LatencySimulator.simulateBatch(stats, k, mode, c)
+        math.abs(r.latency(7) - expected) < 1e-9 && math.abs(r.makespan - expected) < 1e-9
+      }
+    }, minTests = 300)
   }
 
   test("property: Karger clustering never exceeds the target on connected graphs") {

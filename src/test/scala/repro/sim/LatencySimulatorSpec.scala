@@ -138,11 +138,34 @@ class LatencySimulatorSpec extends AnyFunSuite {
       stat(1, 0, Map(0 -> 1, 1 -> 1)))
     val rl = LatencySimulator.simulateBatch(local, 2, BarrierMode.Hybrid, cf)
     val rs = LatencySimulator.simulateBatch(split, 2, BarrierMode.Hybrid, cf)
-    // The split queries are strictly slower: same shared compute plus
-    // comm-free? no — they pay the wider barrier; and a third worker-local
-    // query would find worker 1 busy. Here we check the barrier-inclusive
-    // ordering only.
     assert(rs.latency(0) > rl.latency(0))
+  }
+
+  // Vertex work only, so a latency is pure processor-shared compute.
+  private val workOnly = CostModel(tVertex = 1.0, tIterWorker = 0.0, tMsgRemote = 0.0, tFlushPair = 0.0,
+    tBarrierBase = 0.0, tBarrierPerWorker = 0.0, tBarrierLocal = 0.0, tGlobalStopStart = 0.0,
+    tMovePerVertex = 0.0)
+
+  test("k=16: queries on disjoint workers each finish at their own largest per-worker work") {
+    val stats = Vector(
+      stat(0, 0, Map(1 -> 3, 7 -> 7, 10 -> 9, 11 -> 3, 12 -> 7)),
+      stat(1, 0, Map(2 -> 8, 5 -> 8, 6 -> 2, 8 -> 3, 13 -> 9)))
+    val r = LatencySimulator.simulateBatch(stats, k = 16, BarrierMode.Hybrid, workOnly)
+    assert(math.abs(r.latency(0) - 9.0) < 1e-9, r.latency)
+    assert(math.abs(r.latency(1) - 9.0) < 1e-9, r.latency)
+  }
+
+  test("k=16: a lock-step round lasts the largest per-worker total work") {
+    val stats = Vector(
+      stat(0, 0, Map(6 -> 6, 7 -> 7, 11 -> 4, 15 -> 6)),
+      stat(1, 0, Map(0 -> 6, 1 -> 5, 8 -> 9, 10 -> 8, 15 -> 9)),
+      stat(2, 0, Map(0 -> 7, 2 -> 3, 6 -> 7, 9 -> 4, 10 -> 1, 14 -> 8, 15 -> 4)))
+    // Worker 15 carries 6 + 9 + 4 = 19 units, more than any other worker.
+    val shared = LatencySimulator.simulateBatch(stats, k = 16, BarrierMode.SharedGlobal, workOnly)
+    for (q <- 0 to 2) assert(math.abs(shared.latency(q) - 19.0) < 1e-9, shared.latency)
+    // Decoupled, q1 holds the largest share of worker 15 and drains it last.
+    val hybrid = LatencySimulator.simulateBatch(stats, k = 16, BarrierMode.Hybrid, workOnly)
+    assert(math.abs(hybrid.latency(1) - 19.0) < 1e-9, hybrid.latency)
   }
 
   test("a localized single-worker query beats the same query split across workers") {
