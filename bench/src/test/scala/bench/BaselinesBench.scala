@@ -1,25 +1,20 @@
 package bench
 
 import repro.SparkSpec
-import repro.exp.{Experiments, Reports}
+import repro.exp.Figures
 
-/** The two baseline remarks of Section 4.1:
-  *   - LDG [36] was excluded because the skewed query workload left it
-  *     "highly imbalanced", increasing average query latency by 2-6x;
-  *   - GraphX-style query-agnostic full-graph execution was more than three
-  *     orders of magnitude slower for the same problem instance.
+/** The two baseline remarks of Section 4.1 (`Figures.baselines.claim`):
+  * LDG [36] was excluded because the skewed query workload left it "highly
+  * imbalanced", and GraphX-style query-agnostic full-graph execution was far
+  * slower for the same problem instance.
   */
 class BaselinesBench extends SparkSpec {
 
-  private lazy val ldg = Experiments.ldgComparison(BenchData.spark, BenchData.bw)
-  private lazy val full = Experiments.fullGraphBaseline(BenchData.spark, BenchData.bw, nQueries = 4)
+  private lazy val rep = Figures.baselines.harness(spark)
+  private lazy val (ldg, full) = rep
 
-  test("report: LDG exclusion") {
-    println(Reports.ldg(ldg))
-  }
-
-  test("report: full-graph baseline") {
-    println(Reports.fullGraph(full))
+  test("report: LDG exclusion and full-graph baseline") {
+    println(Figures.baselines.report(rep))
   }
 
   test("LDG is heavily query-imbalanced vs Hash (the paper's exclusion reason)") {

@@ -1,21 +1,18 @@
 package bench
 
 import repro.SparkSpec
-import repro.exp.Reports
+import repro.exp.Figures
 
 /** Fig. 5a: adaptive query-aware partitioning on BW over time, with the
-  * intra-urban -> inter-urban workload disturbance.
-  * Paper: Q-cut reduces average query latency continuously by up to 49% vs
-  * static Hash and up to 40% vs static Domain; after the disturbance the
-  * relative improvement over Hash grows.
+  * intra-urban -> inter-urban workload disturbance; the paper's claim is
+  * `Figures.fig5a.claim`.
   */
 class Fig5aBench extends SparkSpec {
 
-  private lazy val rep = BenchData.bwAdaptivity
+  private lazy val rep = Figures.fig5a.harness(spark)
 
   test("report: Fig 5a") {
-    println(Reports.adaptivity(rep, "Fig 5a",
-      "Q-cut -49% vs static Hash, -40% vs static Domain (phase 1); larger gains in phase 2"))
+    println(Figures.fig5a.report(rep))
   }
 
   test("Q-cut substantially reduces latency vs static Hash in phase 1") {

@@ -1,20 +1,20 @@
 package bench
 
 import repro.SparkSpec
-import repro.exp.Reports
+import repro.exp.Figures
 
-/** Fig. 5b: the adaptivity experiment on the larger GY graph.
-  * Paper: Q-cut reduces query latency by up to 45% vs static Hash and 30%
-  * vs static Domain; workload balancing matters relatively more than on BW
-  * (the "Berlin" straggler), so static Hash fares comparatively better.
+/** Fig. 5b: the adaptivity experiment on the larger GY graph; the paper's
+  * claim is `Figures.fig5b.claim`. Workload balancing matters relatively
+  * more than on BW (the "Berlin" straggler), so static Hash fares
+  * comparatively better.
   */
 class Fig5bBench extends SparkSpec {
 
-  private lazy val rep = BenchData.gyAdaptivity
+  private lazy val rep = Figures.fig5b.harness(spark)
+  private lazy val bw = Figures.fig5a.harness(spark)
 
   test("report: Fig 5b") {
-    println(Reports.adaptivity(rep, "Fig 5b",
-      "Q-cut -45% vs static Hash, -30% vs static Domain; Hash relatively stronger than on BW"))
+    println(Figures.fig5b.report(rep))
   }
 
   test("Q-cut substantially reduces latency vs static Hash") {
@@ -36,7 +36,7 @@ class Fig5bBench extends SparkSpec {
       val d = r.batchSeries("Domain").take(r.nBatchesPhase1)
       h.sum / d.sum
     }
-    assert(hashOverDomain(BenchData.gyAdaptivity) < hashOverDomain(BenchData.bwAdaptivity),
+    assert(hashOverDomain(rep) < hashOverDomain(bw),
       "Hash/Domain latency ratio should be smaller on GY than on BW")
   }
 }

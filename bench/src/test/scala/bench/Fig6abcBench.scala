@@ -1,26 +1,18 @@
 package bench
 
 import repro.SparkSpec
-import repro.exp.{Experiments, Reports}
+import repro.exp.Figures
 
-/** Figs. 6a/6b/6c: summed query latency of the four strategies.
-  * Paper: (6a) BW SSSP: -43% vs Hash, -22% vs Domain; (6b) GY SSSP: -13%
-  * vs Hash, -25% vs Domain; (6c) BW POI: -50% vs Hash, -28% vs Domain.
+/** Figs. 6a/6b/6c: summed query latency of the four strategies; the
+  * paper's claims are `Figures.fig6abc.claim`.
   */
 class Fig6abcBench extends SparkSpec {
 
-  private lazy val t6a = BenchData.bwAdaptivity.phase1Totals("BW / SSSP (Fig 6a)")
-  private lazy val t6b = BenchData.gyAdaptivity.phase1Totals("GY / SSSP (Fig 6b)")
-  private lazy val t6c = Experiments.totals("BW / POI (Fig 6c)", BenchData.bwPoiFourWay)
+  private lazy val rep = Figures.fig6abc.harness(spark)
+  private lazy val (t6a, t6b, t6c) = rep
 
-  test("report: Fig 6a") {
-    println(Reports.totals(t6a, "Fig 6a", "-43% vs Hash, -22% vs Domain"))
-  }
-  test("report: Fig 6b") {
-    println(Reports.totals(t6b, "Fig 6b", "-13% vs Hash, -25% vs Domain"))
-  }
-  test("report: Fig 6c") {
-    println(Reports.totals(t6c, "Fig 6c", "-50% vs Hash, -28% vs Domain"))
+  test("report: Fig 6a/6b/6c") {
+    println(Figures.fig6abc.report(rep))
   }
 
   test("Fig 6a shape: Q-cut reduces BW SSSP totals vs both static partitionings") {

@@ -1,19 +1,18 @@
 package bench
 
 import repro.SparkSpec
-import repro.exp.{Experiments, Reports}
+import repro.exp.Figures
 
 /** Fig. 6d: hybrid barrier synchronization vs traditional BSP-like global
-  * barriers, on static Hash and static Domain (64 SSSP queries, BW, k=8).
-  * Paper: Domain beats Hash 1.7-2.4x; the hybrid barrier reduces total
-  * latency 1.2-1.7x for both partitionings.
+  * barriers, on static Hash and static Domain (64 SSSP queries, BW, k=8);
+  * the paper's claim is `Figures.fig6d.claim`.
   */
 class Fig6dBench extends SparkSpec {
 
-  private lazy val rep = Experiments.barrierComparison(BenchData.spark, BenchData.bw, nQueries = 64)
+  private lazy val rep = Figures.fig6d.harness(spark)
 
   test("report: Fig 6d") {
-    println(Reports.barrier(rep))
+    println(Figures.fig6d.report(rep))
   }
 
   test("hybrid barrier reduces total latency on Hash (paper: 1.2-1.7x)") {

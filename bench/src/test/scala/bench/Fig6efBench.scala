@@ -1,40 +1,33 @@
 package bench
 
 import repro.SparkSpec
-import repro.exp.{Experiments, Reports}
+import repro.exp.Figures
 
 /** Figs. 6e/6f: workload imbalance and query locality of the four
-  * strategies on BW SSSP.
-  * Paper: (6e) Domain highly imbalanced, Hash balanced, Q-cut converges to
-  * ~20% (δ = 0.25); (6f) Domain >95% local, Hash ~38%, Q-cut converges to
-  * ~80% while keeping balance.
+  * strategies on BW SSSP; the paper's claims are `Figures.fig6ef.claim`.
+  * δ = 0.25 bounds Q-cut's imbalance, so it trades a little of Domain's
+  * locality for balance.
   */
 class Fig6efBench extends SparkSpec {
 
-  private lazy val rep = Experiments.quality(BenchData.bwAdaptivity.fourWay)
-  private lazy val p1 = BenchData.bwAdaptivity.nBatchesPhase1
-
-  // Steady-state = the last 4 intra-urban batches (before the disturbance).
-  private def tailOf(m: Map[String, Vector[Double]], name: String): Double = {
-    val v = m(name).slice(p1 - 4, p1); v.sum / v.size
-  }
+  private lazy val rep = Figures.fig6ef.harness(spark)
 
   test("report: Fig 6e/6f") {
-    println(Reports.quality(rep))
+    println(Figures.fig6ef.report(rep))
   }
 
   test("Fig 6e shape: Hash balanced, Domain imbalanced, Q-cut in between") {
-    val h = tailOf(rep.imbalance, "Hash")
-    val d = tailOf(rep.imbalance, "Domain")
-    val q = tailOf(rep.imbalance, "Hash+Q-cut")
+    val h = rep.steadyStateTail(rep.imbalance, "Hash")
+    val d = rep.steadyStateTail(rep.imbalance, "Domain")
+    val q = rep.steadyStateTail(rep.imbalance, "Hash+Q-cut")
     assert(h < d, f"Hash $h%.2f must be below Domain $d%.2f")
     assert(q < d, f"Q-cut $q%.2f must stay below Domain $d%.2f (balance constraint)")
   }
 
   test("Fig 6f shape: Domain near-perfect locality, Hash low, Q-cut converges high") {
-    val h = tailOf(rep.locality, "Hash")
-    val d = tailOf(rep.locality, "Domain")
-    val q = tailOf(rep.locality, "Hash+Q-cut")
+    val h = rep.steadyStateTail(rep.locality, "Hash")
+    val d = rep.steadyStateTail(rep.locality, "Domain")
+    val q = rep.steadyStateTail(rep.locality, "Hash+Q-cut")
     assert(d > 0.85, f"Domain locality $d%.2f (paper >95%%)")
     assert(h < 0.6, f"Hash locality $h%.2f (paper ~38%%)")
     assert(q > h + 0.2, f"Q-cut locality $q%.2f must clearly exceed Hash $h%.2f")
@@ -42,7 +35,7 @@ class Fig6efBench extends SparkSpec {
   }
 
   test("locality of Hash+Q-cut increases over the intra-urban phase (convergence)") {
-    val series = rep.locality("Hash+Q-cut").take(p1)
+    val series = rep.locality("Hash+Q-cut").take(rep.nBatchesPhase1)
     assert(series.last > series.head, series.toString)
   }
 }

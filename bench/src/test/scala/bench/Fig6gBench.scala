@@ -1,19 +1,18 @@
 package bench
 
 import repro.SparkSpec
-import repro.exp.{Experiments, Reports}
+import repro.exp.Figures
 
 /** Fig. 6g: convergence of the iterated local search on the controller,
   * first execution on the Hash-prepartitioned BW graph with the paper's 2 s
-  * budget. Paper: costs reduced by more than 75% within 2 seconds;
-  * perturbations visibly escape local minima.
+  * budget; the paper's claim is `Figures.fig6g.claim`.
   */
 class Fig6gBench extends SparkSpec {
 
-  private lazy val rep = Experiments.ilsConvergence(BenchData.spark, BenchData.bw)
+  private lazy val rep = Figures.fig6g.harness(spark)
 
   test("report: Fig 6g") {
-    println(Reports.ils(rep))
+    println(Figures.fig6g.report(rep))
   }
 
   test("ILS reduces the query-cut cost by a large fraction (paper: >75%)") {

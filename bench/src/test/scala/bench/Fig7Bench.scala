@@ -1,27 +1,21 @@
 package bench
 
 import repro.SparkSpec
-import repro.exp.{Experiments, Reports}
+import repro.exp.Figures
 
 /** Fig. 7: scale-out behaviour — total latency for k = 2..16 workers under
-  * the four strategies, SSSP and POI on BW.
-  * Paper (SSSP): Hash improves 927 -> 474 s from k=2 to 8, then *worsens*
-  * to 863 s at k=16 (communication overhead); Hash+Q-cut reaches 283 s at
-  * k=8. Domain scales monotonically 1790 -> 562 s (2 -> 16), Domain+Q-cut
-  * 1150 -> 301 s; Domain's k=2 latency is high due to stragglers.
+  * the four strategies, SSSP and POI on BW; the paper's numbers are in
+  * `Figures.fig7.claim`. Hash stops scaling at k=16 (communication
+  * overhead); Domain's k=2 latency is high due to stragglers.
   */
 class Fig7Bench extends SparkSpec {
 
   private val ks = Seq(2, 4, 8, 16)
-  private lazy val sssp = Experiments.scalability(BenchData.spark, BenchData.bw, ks)
-  private lazy val poi = Experiments.scalability(BenchData.spark, BenchData.bw, ks, poi = true)
+  private lazy val rep = Figures.fig7.harness(spark)
+  private lazy val (sssp, poi) = rep
 
-  test("report: Fig 7 (SSSP)") {
-    println(Reports.scalability(sssp, ks, "SSSP"))
-  }
-
-  test("report: Fig 7 (POI)") {
-    println(Reports.scalability(poi, ks, "POI"))
+  test("report: Fig 7") {
+    println(Figures.fig7.report(rep))
   }
 
   test("Hash stops scaling: k=16 is no better than k=8 (communication overhead)") {

@@ -153,20 +153,14 @@ object Experiments {
       "Hash+Q-cut" -> hashQcut, "Domain+Q-cut" -> domainQcut)
   }
 
-  def fourWay(
-      g: RoadNetwork,
-      traces: Vector[BatchTrace],
-      k: Int,
-      barrier: BarrierMode = BarrierMode.Hybrid,
-      cost: CostModel = CostModel.default,
-      ctrl: ControllerConfig = controllerConfig()): FourWay = {
+  /** The four strategies at `k` workers, hybrid barriers, default costs and controller. */
+  def fourWay(g: RoadNetwork, traces: Vector[BatchTrace], k: Int): FourWay = {
     val hashA = HashPartitioner.assign(g, k)
     val domA = DomainPartitioner.assign(g, k)
-    FourWay(
-      hash = QGraphRunner.run(hashA, traces, RunConfig("Hash", k, barrier, adaptive = false, cost, ctrl)),
-      domain = QGraphRunner.run(domA, traces, RunConfig("Domain", k, barrier, adaptive = false, cost, ctrl)),
-      hashQcut = QGraphRunner.run(hashA, traces, RunConfig("Hash+Q-cut", k, barrier, adaptive = true, cost, ctrl)),
-      domainQcut = QGraphRunner.run(domA, traces, RunConfig("Domain+Q-cut", k, barrier, adaptive = true, cost, ctrl)))
+    def run(name: String, assign: Array[Int], adaptive: Boolean): RunResult =
+      QGraphRunner.run(assign, traces, RunConfig(name, k, adaptive = adaptive, ctrl = controllerConfig()))
+    FourWay(run("Hash", hashA, adaptive = false), run("Domain", domA, adaptive = false),
+      run("Hash+Q-cut", hashA, adaptive = true), run("Domain+Q-cut", domA, adaptive = true))
   }
 
   /** Figs. 5a/5b: per-batch average latency over time, normalised by the
@@ -174,7 +168,6 @@ object Experiments {
     * the disturbance phase appended when the scale defines one.
     */
   final case class AdaptivityReport(
-      scaleName: String,
       nBatchesPhase1: Int,
       batchSeries: Map[String, Vector[Double]], // strategy -> per-batch avg latency
       fourWay: FourWay) {
@@ -182,10 +175,10 @@ object Experiments {
       batchSeries(name).slice(from, until)
 
     /** Best (largest) latency reduction of Hash+Q-cut vs static Hash over
-      * matching batches, phase 1 (paper 5a: up to 49%).
+      * matching batches, phase 1.
       */
     def maxReductionVsHash: Double = maxReduction("Hash", "Hash+Q-cut", 0, nBatchesPhase1)
-    /** Best reduction of Domain+Q-cut vs static Domain (paper 5a: 40%). */
+    /** Best reduction of Domain+Q-cut vs static Domain, phase 1. */
     def maxReductionVsDomain: Double = maxReduction("Domain", "Domain+Q-cut", 0, nBatchesPhase1)
 
     def maxReduction(base: String, opt: String, from: Int, until: Int): Double = {
@@ -206,11 +199,7 @@ object Experiments {
     val base = Traces.sssp(spark, s)
     val traces = if (s.nDisturb > 0) base ++ Traces.ssspDisturbance(spark, s) else base
     val fw = fourWay(s.network, traces, s.k)
-    AdaptivityReport(
-      s.network.name,
-      base.size,
-      fw.all.map { case (n, r) => n -> r.batches.map(_.avgLatency) }.toMap,
-      fw)
+    AdaptivityReport(base.size, fw.all.map { case (n, r) => n -> r.batches.map(_.avgLatency) }.toMap, fw)
   }
 
   /** Figs. 6a/6b/6c: summed latency over the whole workload per strategy. */
@@ -245,21 +234,26 @@ object Experiments {
 
   /** Figs. 6e/6f: workload imbalance (sliding-window smoothed, as the paper
     * measures 60 s windows with a sliding average) and query locality
-    * series, per batch.
+    * series, per batch, with two 4-batch tail averages of each series.
     */
   final case class QualityReport(
+      nBatchesPhase1: Int,
       imbalance: Map[String, Vector[Double]],
       locality: Map[String, Vector[Double]]) {
-    def tail(m: Map[String, Vector[Double]], name: String, n: Int = 4): Double = {
-      val v = m(name).takeRight(n); v.sum / v.size
-    }
+    /** Mean of the last 4 phase-1 batches: the steady state the gates check. */
+    def steadyStateTail(m: Map[String, Vector[Double]], name: String): Double =
+      mean(m(name).slice(nBatchesPhase1 - 4, nBatchesPhase1))
+    /** Mean of the last 4 batches of the run, in the disturbance if any. */
+    def endOfRunTail(m: Map[String, Vector[Double]], name: String): Double = mean(m(name).takeRight(4))
+    private def mean(v: Vector[Double]): Double = v.sum / v.size
   }
 
-  def quality(fw: FourWay): QualityReport = QualityReport(
-    fw.all.map { case (n, r) =>
+  def quality(rep: AdaptivityReport): QualityReport = QualityReport(
+    rep.nBatchesPhase1,
+    rep.fourWay.all.map { case (n, r) =>
       n -> repro.sim.Metrics.slidingImbalance(r.batches.map(_.loadByWorker), r.cfg.k)
     }.toMap,
-    fw.all.map { case (n, r) => n -> r.batches.map(_.locality) }.toMap)
+    rep.fourWay.all.map { case (n, r) => n -> r.batches.map(_.locality) }.toMap)
 
   /** Fig. 6g: the first ILS run on the Hash-prepartitioned graph with the
     * paper's full 2 s budget.

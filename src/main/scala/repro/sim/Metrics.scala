@@ -1,7 +1,5 @@
 package repro.sim
 
-import repro.engine.BatchTrace
-
 /** Partitioning-quality metrics of the paper's evaluation. */
 object Metrics {
 
@@ -62,22 +60,4 @@ object Metrics {
     loadsPerBatch.indices.map { i =>
       windowImbalance(loadsPerBatch.slice(math.max(0, i - window + 1), i + 1), k)
     }.toVector
-
-  /** The paper's query-cut metric (Section 2): the number of non-empty local
-    * query scopes, summed over queries. Lower is better; |Q| is perfect.
-    */
-  def queryCut(trace: BatchTrace, assign: Int => Int): Int =
-    trace.queries.iterator.map { q =>
-      trace.globalScope(q.qid).map(assign).size
-    }.sum
-
-  /** The Q-cut ILS cost function (Section 3.2.2) evaluated directly on a
-    * trace: for every query, the number of scope vertices not assigned to
-    * the query's largest-scope worker.
-    */
-  def qcutCost(trace: BatchTrace, assign: Int => Int): Long =
-    trace.queries.iterator.map { q =>
-      val byWorker = trace.globalScope(q.qid).groupBy(assign).map { case (_, vs) => vs.size.toLong }
-      if (byWorker.isEmpty) 0L else byWorker.sum - byWorker.max
-    }.sum
 }

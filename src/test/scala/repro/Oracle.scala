@@ -21,7 +21,8 @@ import repro.qcut.{Atom, LocalSearch, QCutState}
   * Further members are DataFrame twins of driver-side structures: the
   * Spark inputs of the oracle checks, and Spark re-implementations of the
   * per-worker aggregations the tests cross-check. The last ones are the
-  * Q-cut definitions the incremental search must agree with.
+  * Q-cut definitions the incremental search must agree with, and the
+  * paper's query-cut metric and ILS cost evaluated directly on a trace.
   */
 object Oracle {
 
@@ -160,4 +161,22 @@ object Oracle {
       .sortBy { case ((sig, w), _) => (sig.mkString(","), w) }
       .map { case ((sig, w), vs) => Atom(sig, w, vs.map(_._1).sorted.toArray) }
   }
+
+  /** The paper's query-cut metric (Section 2): the number of non-empty local
+    * query scopes, summed over queries. Lower is better; |Q| is perfect.
+    */
+  def queryCut(trace: BatchTrace, assign: Int => Int): Int =
+    trace.queries.iterator.map { q =>
+      trace.globalScope(q.qid).map(assign).size
+    }.sum
+
+  /** The Q-cut ILS cost function (Section 3.2.2) evaluated directly on a
+    * trace: for every query, the number of scope vertices not assigned to
+    * the query's largest-scope worker.
+    */
+  def qcutCost(trace: BatchTrace, assign: Int => Int): Long =
+    trace.queries.iterator.map { q =>
+      val byWorker = trace.globalScope(q.qid).groupBy(assign).map { case (_, vs) => vs.size.toLong }
+      if (byWorker.isEmpty) 0L else byWorker.sum - byWorker.max
+    }.sum
 }

@@ -8,7 +8,7 @@ import org.scalatest.funsuite.AnyFunSuite
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Automatic broadcast joins are off, as in `jobs.JobSession`. Only
+  * limit). Automatic broadcast joins are off, as in `jobs.Figures`. Only
   * the test-scope DataFrame oracles plan joins: the engine joins nothing,
   * it broadcasts its CSR adjacency itself and runs one task per batch.
   */

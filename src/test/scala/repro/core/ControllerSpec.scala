@@ -1,9 +1,10 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.Oracle
 import repro.engine._
 import repro.qcut.IlsConfig
-import repro.sim.{IterationStats, Metrics}
+import repro.sim.IterationStats
 
 class ControllerSpec extends AnyFunSuite {
 
@@ -79,9 +80,9 @@ class ControllerSpec extends AnyFunSuite {
     assert(c.shouldRepartition)
     val out = c.repartition(assign)
     assert(out.movedVertices > 0)
-    assert(Metrics.qcutCost(t, out.newAssign(_)) < Metrics.qcutCost(t, assign(_)))
+    assert(Oracle.qcutCost(t, out.newAssign(_)) < Oracle.qcutCost(t, assign(_)))
     // With delta = 0.9 both queries can be fully consolidated.
-    assert(Metrics.qcutCost(t, out.newAssign(_)) === 0L)
+    assert(Oracle.qcutCost(t, out.newAssign(_)) === 0L)
   }
 
   test("repartition leaves untouched vertices where they were") {

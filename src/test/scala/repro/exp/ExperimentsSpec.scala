@@ -22,10 +22,7 @@ class ExperimentsSpec extends SparkSpec {
 
   test("traces persist to disk for cross-JVM reuse") {
     Traces.sssp(spark, s)
-    val dir = new java.io.File(
-      sys.props.get("qgraph.trace.dir")
-        .orElse(sys.env.get("QGRAPH_TRACE_DIR"))
-        .getOrElse("target/traces"))
+    val dir = Traces.cacheFile(Traces.key(s, "sssp", s.nQueries)).getParentFile
     assert(dir.isDirectory, s"missing trace dir ${dir.getAbsolutePath}")
     assert(dir.listFiles().exists(f => f.getName.contains("sssp") && f.length() > 0))
   }
@@ -108,10 +105,10 @@ class ExperimentsSpec extends SparkSpec {
 
   test("quality report: Domain most local, Hash most balanced (Fig 6e/6f shape)") {
     val rep = Experiments.adaptivity(spark, s)
-    val q = Experiments.quality(rep.fourWay)
-    assert(q.tail(q.locality, "Domain") > q.tail(q.locality, "Hash"))
-    assert(q.tail(q.imbalance, "Hash") < q.tail(q.imbalance, "Domain"))
-    assert(q.tail(q.locality, "Hash+Q-cut") > q.tail(q.locality, "Hash"))
+    val q = Experiments.quality(rep)
+    assert(q.endOfRunTail(q.locality, "Domain") > q.endOfRunTail(q.locality, "Hash"))
+    assert(q.endOfRunTail(q.imbalance, "Hash") < q.endOfRunTail(q.imbalance, "Domain"))
+    assert(q.endOfRunTail(q.locality, "Hash+Q-cut") > q.endOfRunTail(q.locality, "Hash"))
   }
 
   test("ILS convergence history is recorded with the 2s budget (Fig 6g shape)") {

