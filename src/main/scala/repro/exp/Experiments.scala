@@ -140,10 +140,10 @@ object Experiments {
     * reproducible bit for bit; the default 60 s wall-clock budget is only a
     * safety cap that no bench run reaches (Fig. 6g passes the paper's 2 s).
     */
-  def controllerConfig(ilsBudgetMs: Long = 60000, seed: Long = 17): ControllerConfig =
+  def controllerConfig(ilsBudgetMs: Long = 60000): ControllerConfig =
     ControllerConfig(
       phi = 0.7, muSimSeconds = 1e12, maxQueries = 64, delta = 0.25, clusterFactor = 4,
-      ils = IlsConfig(budgetMs = ilsBudgetMs, maxRounds = 60, seed = seed))
+      ils = IlsConfig(budgetMs = ilsBudgetMs, maxRounds = 60, seed = 17))
 
   /** The four partitioning strategies of Figs. 5-7. */
   final case class FourWay(

@@ -7,8 +7,9 @@ import repro.qcut.IlsResult
 
 /** The registry of reproduced figures, each defined once: its paper claim,
   * its harness at bench scale and its table. `jobs.Figures` prints the
-  * tables and writes `figures/<id>.tsv`, the bench suites gate the typed
-  * reports, and `GoldenFigureSpec` pins the tables to the committed files.
+  * tables and writes `figures/<id>.tsv`; `GoldenFigureSpec` computes each
+  * typed report once, pins its table to the committed file and gates its
+  * shape.
   */
 object Figures {
 
@@ -18,7 +19,6 @@ object Figures {
   final case class Figure[R](id: String, claim: String, harness: SparkSession => R, table: R => FigureTable) {
     def compute(spark: SparkSession): FigureTable = table(harness(spark))
     def render(t: FigureTable): String = s"${"=" * 72}\n$id - $claim\n${"=" * 72}\n${t.render}"
-    def report(rep: R): String = render(table(rep))
   }
 
   /** Where `jobs.Figures` writes a figure's cells, relative to the repo root. */

@@ -64,8 +64,9 @@ object DomainPartitioner extends GraphPartitioner {
   * Vertices stream in id order; each is placed on the worker maximising
   * `|N(v) ∩ P_i| * (1 - |P_i| / C)` with capacity `C = (1 + eps) * n / k`.
   */
-class LdgPartitioner(eps: Double = 0.1) extends GraphPartitioner {
+object LdgPartitioner extends GraphPartitioner {
   val name = "LDG"
+  private val eps = 0.1
 
   def assign(g: RoadNetwork, k: Int): Array[Int] = {
     val n = g.numVertices
@@ -102,5 +103,3 @@ class LdgPartitioner(eps: Double = 0.1) extends GraphPartitioner {
     owner
   }
 }
-
-object LdgPartitioner extends LdgPartitioner(0.1)

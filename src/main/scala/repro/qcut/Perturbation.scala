@@ -16,11 +16,14 @@ import scala.util.Random
   */
 object Perturbation {
 
+  /** The move budget of the repair step (III). */
+  private val MaxRepairMoves = 1000
+
   /** Perturbs `s` in place. Returns false if no cluster is spread across
     * two or more workers (the state already has perfect cluster locality, so
     * there is nothing to merge).
     */
-  def run(s: QCutState, rng: Random, maxRepairMoves: Int = 1000): Boolean = {
+  def run(s: QCutState, rng: Random): Boolean = {
     // I. candidate clusters spread across >= 2 workers
     val spread = (0 until s.nClusters).filter { c =>
       (0 until s.k).count(w => s.clusterScope(c, w) > 0) >= 2
@@ -34,7 +37,7 @@ object Perturbation {
       s.moveCluster(c, w, target)
 
     // III. random repair moves max-loaded -> least-loaded until balanced
-    rebalance(s, rng, maxRepairMoves)
+    rebalance(s, rng)
     true
   }
 
@@ -53,17 +56,13 @@ object Perturbation {
     *                    queries; ILS perturbation keeps the random choice
     *                    for diversification)
     */
-  def rebalance(
-      s: QCutState,
-      rng: Random,
-      maxRepairMoves: Int = 1000,
-      preferSmall: Boolean = false): Unit = {
+  def rebalance(s: QCutState, rng: Random, preferSmall: Boolean = false): Unit = {
     var moves = 0
-    while (!s.globallyBalanced && moves < maxRepairMoves) {
+    while (!s.globallyBalanced && moves < MaxRepairMoves) {
       val wMax = (0 until s.k).maxBy(w => (s.load(w), -w))
       val wMin = (0 until s.k).minBy(w => (s.load(w), w))
       val movable = (0 until s.nClusters).filter(cc => s.clusterScope(cc, wMax) > 0)
-      if (movable.isEmpty) moves = maxRepairMoves // only untouched vertices left: cannot repair via scopes
+      if (movable.isEmpty) moves = MaxRepairMoves // only untouched vertices left: cannot repair via scopes
       else {
         val cc =
           if (preferSmall) movable.minBy(c => (s.clusterScope(c, wMax), c))

@@ -12,16 +12,14 @@ import scala.collection.mutable
   * piggyback onto barrier messages (Section 3.4).
   *
   * @param remoteMsgs cross-worker message counts, keyed by (srcWorker,
-  *                   dstWorker), srcWorker != dstWorker
-  * @param localMsgs  messages whose endpoints share a worker (free in-memory
-  *                   hand-off)
+  *                   dstWorker), srcWorker != dstWorker; messages whose
+  *                   endpoints share a worker are a free in-memory hand-off
   */
 final case class QueryIterStat(
     qid: Int,
     iter: Int,
     actByWorker: Map[Int, Int],
-    remoteMsgs: Map[(Int, Int), Int],
-    localMsgs: Int) {
+    remoteMsgs: Map[(Int, Int), Int]) {
 
   /** Workers participating in this iteration's barrier: those computing and
     * those that receive messages (they must accept delivery before the next
@@ -63,21 +61,17 @@ object IterationStats {
       m(w) = m.getOrElse(w, 0) + 1
     }
     val remote = mutable.HashMap.empty[(Int, Int), mutable.HashMap[(Int, Int), Int]]
-    val local = mutable.HashMap.empty[(Int, Int), Int]
     for (i <- trace.msgQid.indices) {
       val ws = assign(trace.msgSrc(i)); val wd = assign(trace.msgDst(i))
-      val key = (trace.msgQid(i), trace.msgIter(i))
-      if (ws == wd) local(key) = local.getOrElse(key, 0) + 1
-      else {
-        val mm = remote.getOrElseUpdate(key, mutable.HashMap.empty)
+      if (ws != wd) {
+        val mm = remote.getOrElseUpdate((trace.msgQid(i), trace.msgIter(i)), mutable.HashMap.empty)
         mm((ws, wd)) = mm.getOrElse((ws, wd), 0) + 1
       }
     }
     act.keysIterator.toVector.sorted.map { case (qid, iter) =>
       QueryIterStat(qid, iter,
         act((qid, iter)).toMap,
-        remote.getOrElse((qid, iter), mutable.HashMap.empty).toMap,
-        local.getOrElse((qid, iter), 0))
+        remote.getOrElse((qid, iter), mutable.HashMap.empty).toMap)
     }
   }
 

@@ -3,8 +3,8 @@ package repro
 import repro.exp._
 import repro.sim.{IterationStats, Metrics}
 
-/** Temporary diagnostic: per-batch latency/locality/imbalance series at tiny
-  * scale. Run with `sbt "Test/runMain repro.DebugMain"`.
+/** Diagnostic: per-batch latency/locality/imbalance series at tiny scale;
+  * no test runs it. Run with `sbt "Test/runMain repro.DebugMain"`.
   */
 object DebugMain {
   def main(args: Array[String]): Unit = {

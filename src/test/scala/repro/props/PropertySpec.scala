@@ -187,7 +187,7 @@ class PropertySpec extends AnyFunSuite {
       nw <- Gen.choose(1, 4)
       acts <- Gen.sequence[List[(Int, Int)], (Int, Int)](
         (0 until nw).map(w => Gen.choose(1, 9).map(n => w -> n)))
-    } yield QueryIterStat(qid, iter, acts.toMap, Map.empty, 0)
+    } yield QueryIterStat(qid, iter, acts.toMap, Map.empty)
     check(Prop.forAll(genStat) { s =>
       s.actByWorker.keySet.subsetOf(s.involvedWorkers) &&
         s.isLocal == (s.actByWorker.size <= 1)
@@ -213,7 +213,7 @@ class PropertySpec extends AnyFunSuite {
     check(Prop.forAllNoShrink(gen) { case (k, acts, c) =>
       // One iteration per query, no messages and free barriers: nothing
       // delays a query but the compute it shares with the others.
-      val stats = acts.zipWithIndex.map { case (a, q) => QueryIterStat(q, 0, a, Map.empty, 0) }.toVector
+      val stats = acts.zipWithIndex.map { case (a, q) => QueryIterStat(q, 0, a, Map.empty) }.toVector
       val work = acts.map(_.map { case (w, n) => w -> (c.tIterWorker + n * c.tVertex) })
       val perWorker = work.flatten.groupMapReduce(_._1)(_._2)(_ + _)
       modes.forall { mode =>
@@ -236,7 +236,7 @@ class PropertySpec extends AnyFunSuite {
     } yield (k, iters)
     val c = CostModel.default
     check(Prop.forAllNoShrink(gen) { case (k, iters) =>
-      val stats = iters.zipWithIndex.map { case ((a, m), i) => QueryIterStat(7, i, a, m, 0) }.toVector
+      val stats = iters.zipWithIndex.map { case ((a, m), i) => QueryIterStat(7, i, a, m) }.toVector
       modes.forall { mode =>
         val expected = stats.map { s =>
           val compute = s.involvedWorkers.map(w => c.tIterWorker + s.actByWorker.getOrElse(w, 0) * c.tVertex).max

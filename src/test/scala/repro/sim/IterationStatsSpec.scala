@@ -25,14 +25,17 @@ class IterationStatsSpec extends SparkSpec {
     assert(stats(2).actByWorker === Map(1 -> 1))
   }
 
+  /** Messages of `trace` whose endpoints lie on different workers. */
+  private def crossing(assign: Int => Int): Int =
+    trace.messages.count(m => assign(m.src) != assign(m.dst))
+
   test("remote and local message counts") {
     val assign: Int => Int = v => if (v <= 1) 0 else 1
     val stats = IterationStats.compute(trace, assign)
-    assert(stats(0).remoteMsgs === Map((0, 1) -> 1)) // 0->2 crosses
-    assert(stats(0).localMsgs === 1) // 0->1 stays
-    assert(stats(1).remoteMsgs === Map((0, 1) -> 1)) // 1->3 crosses
-    assert(stats(1).localMsgs === 1) // 2->3 stays
+    assert(stats(0).remoteMsgs === Map((0, 1) -> 1)) // 0->2 crosses, 0->1 stays
+    assert(stats(1).remoteMsgs === Map((0, 1) -> 1)) // 1->3 crosses, 2->3 stays
     assert(stats(2).remoteMsgs === Map.empty[(Int, Int), Int])
+    assert(stats.map(_.totalRemote).sum === crossing(assign))
   }
 
   test("involved workers include message receivers") {
@@ -54,14 +57,15 @@ class IterationStatsSpec extends SparkSpec {
   test("a single-worker assignment yields zero remote messages") {
     val stats = IterationStats.compute(trace, _ => 0)
     assert(stats.forall(_.remoteMsgs.isEmpty))
-    assert(stats.map(_.localMsgs).sum === trace.messages.size)
+    assert(stats.map(_.totalRemote).sum === 0)
   }
 
   test("totals are conserved under any assignment") {
     for (mod <- 1 to 4) {
-      val stats = IterationStats.compute(trace, v => v % mod)
+      val assign: Int => Int = v => v % mod
+      val stats = IterationStats.compute(trace, assign)
       assert(stats.map(_.totalActive).sum === trace.activations.size)
-      assert(stats.map(s => s.totalRemote + s.localMsgs).sum === trace.messages.size)
+      assert(stats.map(_.totalRemote).sum === crossing(assign))
     }
   }
 

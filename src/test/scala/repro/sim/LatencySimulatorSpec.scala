@@ -15,7 +15,7 @@ class LatencySimulatorSpec extends AnyFunSuite {
 
   private def stat(qid: Int, iter: Int, act: Map[Int, Int],
                    remote: Map[(Int, Int), Int] = Map.empty): QueryIterStat =
-    QueryIterStat(qid, iter, act, remote, localMsgs = 0)
+    QueryIterStat(qid, iter, act, remote)
 
   test("single local query: compute plus local barrier per iteration") {
     val stats = Vector(stat(0, 0, Map(0 -> 2)), stat(0, 1, Map(0 -> 3)))

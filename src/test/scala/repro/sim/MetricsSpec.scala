@@ -8,7 +8,7 @@ class MetricsSpec extends AnyFunSuite {
 
   private def stat(qid: Int, iter: Int, act: Map[Int, Int],
                    remote: Map[(Int, Int), Int] = Map.empty): QueryIterStat =
-    QueryIterStat(qid, iter, act, remote, localMsgs = 0)
+    QueryIterStat(qid, iter, act, remote)
 
   test("query locality counts fully-local iterations") {
     val stats = Vector(
