@@ -10,7 +10,7 @@ import repro.exp.{Figures => Registry}
   */
 object Figures {
   def main(args: Array[String]): Unit = run(args.toSeq,
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("qgraph-figures")
       .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))

@@ -2,7 +2,7 @@ package repro.core
 
 import repro.engine.BatchTrace
 import repro.qcut._
-import repro.sim.{Metrics, QueryIterStat}
+import repro.sim.{BatchStats, Metrics}
 import scala.collection.mutable
 import scala.util.Random
 
@@ -78,8 +78,7 @@ final case class RepartitionOutcome(
   * moves at a global barrier.
   */
 final class Controller(k: Int, cfg: ControllerConfig) {
-
-  private final case class WindowEntry(qid: Int, endTime: Double, scope: Set[Int], locality: Double)
+  import Controller.WindowEntry
 
   private val window = mutable.ArrayDeque.empty[WindowEntry]
   private val rng = new Random(cfg.ils.seed)
@@ -92,7 +91,7 @@ final class Controller(k: Int, cfg: ControllerConfig) {
   /** Ingests the statistics of a completed batch at simulated time `now`
     * and evicts entries older than μ (keeping at most `maxQueries`).
     */
-  def observeBatch(trace: BatchTrace, stats: Vector[QueryIterStat], now: Double): Unit = {
+  def observeBatch(trace: BatchTrace, stats: BatchStats, now: Double): Unit = {
     val locality = Metrics.queryLocality(stats)
     val scopes = trace.globalScopes
     for (q <- trace.queries)
@@ -149,4 +148,8 @@ final class Controller(k: Int, cfg: ControllerConfig) {
     RepartitionOutcome(newAssign, moved, result, needsRebalance, incumbentCost,
       maxLoadBefore, maxLoadAfter)
   }
+}
+
+object Controller {
+  private final case class WindowEntry(qid: Int, endTime: Double, scope: Set[Int], locality: Double)
 }

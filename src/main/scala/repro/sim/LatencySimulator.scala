@@ -43,21 +43,27 @@ object LatencySimulator {
     */
   private final class IterCost(val work: Array[Double], val postDelay: Double)
 
-  private def iterCost(s: QueryIterStat, k: Int, mode: BarrierMode, c: CostModel): IterCost = {
-    val involved = s.involvedWorkers
+  private def iterCost(s: BatchStats, row: Int, k: Int, mode: BarrierMode, c: CostModel): IterCost = {
+    val involved = s.involved(row)
     // Every involved worker (computing or receiving) pays the fixed
     // per-(query, iteration) participation cost plus per-vertex work.
     val work = new Array[Double](k)
-    for (w <- involved) work(w) = c.tIterWorker + s.actByWorker.getOrElse(w, 0) * c.tVertex
+    var ws = involved
+    while (ws != 0) {
+      val w = java.lang.Long.numberOfTrailingZeros(ws)
+      work(w) = c.tIterWorker + s.active(row, w) * c.tVertex
+      ws &= ws - 1
+    }
+    val remote = s.remoteMsgs(row)
     val comm =
-      if (s.remoteMsgs.isEmpty) 0.0
-      else c.tFlushPair * s.remoteMsgs.size + c.tMsgRemote * s.totalRemote
+      if (remote == 0) 0.0
+      else c.tFlushPair * s.remotePairs(row) + c.tMsgRemote * remote
     val barrier = mode match {
       // Paid once per round, in `simulateLockstep`, not per query.
       case BarrierMode.SharedGlobal => 0.0
       case BarrierMode.Hybrid =>
-        if (s.isLocal) c.tBarrierLocal
-        else c.tBarrierBase + c.tBarrierPerWorker * involved.size
+        if (s.isLocal(row)) c.tBarrierLocal
+        else c.tBarrierBase + c.tBarrierPerWorker * java.lang.Long.bitCount(involved)
       case BarrierMode.PerQueryGlobal => c.tBarrierBase + c.tBarrierPerWorker * k
     }
     new IterCost(work, comm + barrier)
@@ -65,13 +71,14 @@ object LatencySimulator {
 
   /** Simulates one batch. `stats` must come from `IterationStats.compute`. */
   def simulateBatch(
-      stats: Vector[QueryIterStat],
+      stats: BatchStats,
       k: Int,
       mode: BarrierMode,
       c: CostModel): BatchSim = {
+    require(stats.width <= k, s"stats involve worker ${stats.width - 1}, beyond k = $k")
     val perQuery: Array[(Int, Array[IterCost])] =
-      IterationStats.byQuery(stats).toArray.sortBy(_._1).map { case (qid, its) =>
-        qid -> its.map(iterCost(_, k, mode, c)).toArray
+      Array.tabulate(stats.queries) { i =>
+        stats.queryId(i) -> stats.queryRows(i).map(iterCost(stats, _, k, mode, c)).toArray
       }
     mode match {
       case BarrierMode.SharedGlobal => simulateLockstep(perQuery, k, c)

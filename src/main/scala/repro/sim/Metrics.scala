@@ -1,36 +1,38 @@
 package repro.sim
 
+import scala.collection.immutable
+
 /** Partitioning-quality metrics of the paper's evaluation. */
 object Metrics {
 
   /** Query locality (Fig. 6f): the percentage of iterations a query executes
     * completely locally on a single worker, averaged over queries.
     */
-  def avgQueryLocality(stats: Vector[QueryIterStat]): Double = {
+  def avgQueryLocality(stats: BatchStats): Double = {
     val per = queryLocality(stats)
     if (per.isEmpty) 1.0 else per.valuesIterator.sum / per.size
   }
 
   /** Per-query locality: fraction of the query's iterations whose active
     * vertices all sit on one worker (Section 3.4's adaptivity signal and
-    * the Fig. 6f metric — see [[QueryIterStat.isComputeLocal]]).
+    * the Fig. 6f metric — see [[BatchStats.isComputeLocal]]). A hash map at
+    * every size, so [[avgQueryLocality]] sums in the same order whatever
+    * the number of queries.
     */
-  def queryLocality(stats: Vector[QueryIterStat]): Map[Int, Double] =
-    IterationStats.byQuery(stats).map { case (qid, its) =>
-      qid -> its.count(_.isComputeLocal).toDouble / its.length
+  def queryLocality(stats: BatchStats): immutable.HashMap[Int, Double] = {
+    val b = immutable.HashMap.newBuilder[Int, Double]
+    for (i <- 0 until stats.queries) {
+      val rows = stats.queryRows(i)
+      b += stats.queryId(i) -> rows.count(stats.isComputeLocal).toDouble / rows.length
     }
+    b.result()
+  }
 
-  /** Workload imbalance (Fig. 6e): workload is the number of active vertices
-    * a worker executes during the batch; imbalance is the mean relative
-    * deviation from the average worker workload.
-    */
-  def workloadImbalance(stats: Vector[QueryIterStat], k: Int): Double =
-    windowImbalance(Seq(workerLoads(stats, k)), k)
-
-  /** Per-worker activation counts of a batch. */
-  def workerLoads(stats: Vector[QueryIterStat], k: Int): Map[Int, Long] = {
+  /** Per-worker activation counts of a batch (Fig. 6e's workload). */
+  def workerLoads(stats: BatchStats, k: Int): Map[Int, Long] = {
+    require(stats.width <= k, s"stats involve worker ${stats.width - 1}, beyond k = $k")
     val load = Array.fill(k)(0L)
-    for (s <- stats; (w, n) <- s.actByWorker) load(w) += n
+    for (row <- 0 until stats.size; w <- 0 until stats.width) load(w) += stats.active(row, w)
     (0 until k).map(w => w -> load(w)).toMap
   }
 
@@ -45,7 +47,11 @@ object Metrics {
     */
   val ImbalanceWindow = 4
 
-  /** Imbalance of the worker loads summed over a window of batches. */
+  /** Workload imbalance (Fig. 6e) of the worker loads summed over a window
+    * of batches: workload is the number of active vertices a worker
+    * executes, imbalance the mean relative deviation from the average
+    * worker workload.
+    */
   def windowImbalance(loads: Iterable[Map[Int, Long]], k: Int): Double = {
     val agg = Array.fill(k)(0.0)
     for (m <- loads; (w, n) <- m) agg(w) += n.toDouble

@@ -6,6 +6,8 @@ import org.apache.spark.sql.functions._
 import repro.engine.BatchTrace
 import repro.graph.RoadNetwork
 import repro.qcut.{Atom, LocalSearch, QCutState}
+import repro.sim.QueryIterStat
+import scala.collection.mutable
 
 /** DuckDB correctness oracle.
   *
@@ -160,6 +162,32 @@ object Oracle {
     sigOf.toVector.groupBy { case (v, sig) => (sig, assign(v)) }.toVector
       .sortBy { case ((sig, w), _) => (sig.mkString(","), w) }
       .map { case ((sig, w), vs) => Atom(sig, w, vs.map(_._1).sorted.toArray) }
+  }
+
+  /** `IterationStats.compute` as boxed per-(qid, iter) hash maps, sorted by
+    * (qid, iter); every (qid, iter) with at least one activation appears
+    * exactly once.
+    */
+  def iterationStats(trace: BatchTrace, assign: Int => Int): Vector[QueryIterStat] = {
+    val act = mutable.HashMap.empty[(Int, Int), mutable.HashMap[Int, Int]]
+    for (i <- trace.actQid.indices) {
+      val m = act.getOrElseUpdate((trace.actQid(i), trace.actIter(i)), mutable.HashMap.empty)
+      val w = assign(trace.actVid(i))
+      m(w) = m.getOrElse(w, 0) + 1
+    }
+    val remote = mutable.HashMap.empty[(Int, Int), mutable.HashMap[(Int, Int), Int]]
+    for (i <- trace.msgQid.indices) {
+      val ws = assign(trace.msgSrc(i)); val wd = assign(trace.msgDst(i))
+      if (ws != wd) {
+        val mm = remote.getOrElseUpdate((trace.msgQid(i), trace.msgIter(i)), mutable.HashMap.empty)
+        mm((ws, wd)) = mm.getOrElse((ws, wd), 0) + 1
+      }
+    }
+    act.keysIterator.toVector.sorted.map { case (qid, iter) =>
+      QueryIterStat(qid, iter,
+        act((qid, iter)).toMap,
+        remote.getOrElse((qid, iter), mutable.HashMap.empty).toMap)
+    }
   }
 
   /** The paper's query-cut metric (Section 2): the number of non-empty local

@@ -174,8 +174,9 @@ class BspEngineSpec extends SparkSpec {
     val byCity = t.queries.groupBy(_.city).filter(_._2.size >= 2)
     assume(byCity.nonEmpty, "need a city with two queries in the first batch")
     val anyOverlap = byCity.values.exists { qs =>
-      qs.combinations(2).exists { case Seq(a, b) =>
-        t.globalScope(a.qid).intersect(t.globalScope(b.qid)).nonEmpty
+      qs.combinations(2).exists {
+        case Seq(a, b) => t.globalScope(a.qid).intersect(t.globalScope(b.qid)).nonEmpty
+        case _         => false
       }
     }
     assert(anyOverlap, "expected overlapping scopes for same-city queries")

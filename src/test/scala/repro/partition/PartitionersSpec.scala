@@ -79,8 +79,8 @@ class PartitionersSpec extends SparkSpec {
     val trace = TestFixtures.smallSsspTraces.head
     val hash = HashPartitioner.assign(g, k)
     val dom = DomainPartitioner.assign(g, k)
-    val imbHash = Metrics.workloadImbalance(IterationStats.compute(trace, hash(_)), k)
-    val imbDom = Metrics.workloadImbalance(IterationStats.compute(trace, dom(_)), k)
+    val imbHash = Metrics.windowImbalance(Seq(Metrics.workerLoads(IterationStats.compute(trace, hash(_)), k)), k)
+    val imbDom = Metrics.windowImbalance(Seq(Metrics.workerLoads(IterationStats.compute(trace, dom(_)), k)), k)
     assert(imbHash < imbDom, s"hash $imbHash should be more balanced than domain $imbDom")
   }
 

@@ -5,7 +5,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.Oracle
 import repro.engine.{ActRec, BatchTrace, Query, QueryKind}
 import repro.qcut._
-import repro.sim.{CostModel, LatencySimulator, QueryIterStat}
+import repro.sim.{BatchStats, CostModel, LatencySimulator, QueryIterStat}
 import repro.sync.BarrierMode
 import repro.workload.QueryWorkload
 
@@ -189,8 +189,9 @@ class PropertySpec extends AnyFunSuite {
         (0 until nw).map(w => Gen.choose(1, 9).map(n => w -> n)))
     } yield QueryIterStat(qid, iter, acts.toMap, Map.empty)
     check(Prop.forAll(genStat) { s =>
-      s.actByWorker.keySet.subsetOf(s.involvedWorkers) &&
-        s.isLocal == (s.actByWorker.size <= 1)
+      val b = BatchStats.of(Seq(s))
+      (b.computing(0) & ~b.involved(0)) == 0L &&
+        b.isLocal(0) == (s.actByWorker.size <= 1)
     })
   }
 
@@ -213,7 +214,7 @@ class PropertySpec extends AnyFunSuite {
     check(Prop.forAllNoShrink(gen) { case (k, acts, c) =>
       // One iteration per query, no messages and free barriers: nothing
       // delays a query but the compute it shares with the others.
-      val stats = acts.zipWithIndex.map { case (a, q) => QueryIterStat(q, 0, a, Map.empty) }.toVector
+      val stats = BatchStats.of(acts.zipWithIndex.map { case (a, q) => QueryIterStat(q, 0, a, Map.empty) })
       val work = acts.map(_.map { case (w, n) => w -> (c.tIterWorker + n * c.tVertex) })
       val perWorker = work.flatten.groupMapReduce(_._1)(_._2)(_ + _)
       modes.forall { mode =>
@@ -236,18 +237,20 @@ class PropertySpec extends AnyFunSuite {
     } yield (k, iters)
     val c = CostModel.default
     check(Prop.forAllNoShrink(gen) { case (k, iters) =>
-      val stats = iters.zipWithIndex.map { case ((a, m), i) => QueryIterStat(7, i, a, m) }.toVector
+      val records = iters.zipWithIndex.map { case ((a, m), i) => QueryIterStat(7, i, a, m) }.toVector
       modes.forall { mode =>
-        val expected = stats.map { s =>
-          val compute = s.involvedWorkers.map(w => c.tIterWorker + s.actByWorker.getOrElse(w, 0) * c.tVertex).max
-          val comm = if (s.remoteMsgs.isEmpty) 0.0 else c.tFlushPair * s.remoteMsgs.size + c.tMsgRemote * s.totalRemote
+        val expected = records.map { s =>
+          val involvedWorkers = s.actByWorker.keySet ++ s.remoteMsgs.keySet.flatMap { case (a, b) => Set(a, b) }
+          val isLocal = s.remoteMsgs.isEmpty && s.actByWorker.size <= 1
+          val compute = involvedWorkers.map(w => c.tIterWorker + s.actByWorker.getOrElse(w, 0) * c.tVertex).max
+          val comm = if (s.remoteMsgs.isEmpty) 0.0 else c.tFlushPair * s.remoteMsgs.size + c.tMsgRemote * s.remoteMsgs.values.sum
           val barrier =
-            if (mode == BarrierMode.Hybrid && s.isLocal) c.tBarrierLocal
-            else if (mode == BarrierMode.Hybrid) c.tBarrierBase + c.tBarrierPerWorker * s.involvedWorkers.size
+            if (mode == BarrierMode.Hybrid && isLocal) c.tBarrierLocal
+            else if (mode == BarrierMode.Hybrid) c.tBarrierBase + c.tBarrierPerWorker * involvedWorkers.size
             else c.tBarrierBase + c.tBarrierPerWorker * k
           compute + comm + barrier
         }.sum
-        val r = LatencySimulator.simulateBatch(stats, k, mode, c)
+        val r = LatencySimulator.simulateBatch(BatchStats.of(records), k, mode, c)
         math.abs(r.latency(7) - expected) < 1e-9 && math.abs(r.makespan - expected) < 1e-9
       }
     }, minTests = 300)

@@ -97,7 +97,7 @@ class ScopeAtomsSpec extends SparkSpec {
       .map(r => (r.getInt(0), r.getInt(1)) -> r.getLong(2)).toMap
     assert(sparkLs === fromStats.map { case (k, s) => k -> s.size.toLong }.toMap)
     // And per-iteration activation counts must sum consistently.
-    val sumStats = stats.map(_.totalActive).sum
+    val sumStats = stats.records.map(_.actByWorker.values.sum).sum
     assert(sumStats === trace.activations.size)
   }
 }

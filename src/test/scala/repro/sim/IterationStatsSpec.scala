@@ -1,5 +1,6 @@
 package repro.sim
 
+import org.scalacheck.{Gen, Prop, Test => SCTest}
 import repro.{Oracle, SparkSpec, TestFixtures}
 import repro.engine._
 
@@ -15,10 +16,14 @@ class IterationStatsSpec extends SparkSpec {
     results = Map(0 -> QueryResult(0, found = true, 2.0, 3, 2)),
     finalDistances = Map(0 -> Map(0 -> 0.0)))
 
+  /** The workers of a mask. */
+  private def workers(mask: Long): Set[Int] = (0 until BatchStats.MaxWorkers).filter(w => (mask >>> w & 1L) == 1L).toSet
+  private def rows(s: BatchStats): Vector[Int] = (0 until s.size).toVector
+
   test("activation counts per worker") {
     // vertices 0,1 -> w0; 2,3 -> w1
     val assign: Int => Int = v => if (v <= 1) 0 else 1
-    val stats = IterationStats.compute(trace, assign)
+    val stats = IterationStats.compute(trace, assign).records
     assert(stats.map(s => (s.qid, s.iter)) === Vector((0, 0), (0, 1), (0, 2)))
     assert(stats(0).actByWorker === Map(0 -> 1))
     assert(stats(1).actByWorker === Map(0 -> 1, 1 -> 1))
@@ -32,49 +37,110 @@ class IterationStatsSpec extends SparkSpec {
   test("remote and local message counts") {
     val assign: Int => Int = v => if (v <= 1) 0 else 1
     val stats = IterationStats.compute(trace, assign)
-    assert(stats(0).remoteMsgs === Map((0, 1) -> 1)) // 0->2 crosses, 0->1 stays
-    assert(stats(1).remoteMsgs === Map((0, 1) -> 1)) // 1->3 crosses, 2->3 stays
-    assert(stats(2).remoteMsgs === Map.empty[(Int, Int), Int])
-    assert(stats.map(_.totalRemote).sum === crossing(assign))
+    val recs = stats.records
+    assert(recs(0).remoteMsgs === Map((0, 1) -> 1)) // 0->2 crosses, 0->1 stays
+    assert(recs(1).remoteMsgs === Map((0, 1) -> 1)) // 1->3 crosses, 2->3 stays
+    assert(recs(2).remoteMsgs === Map.empty[(Int, Int), Int])
+    assert(rows(stats).map(stats.remoteMsgs).sum === crossing(assign))
   }
 
   test("involved workers include message receivers") {
     val assign: Int => Int = v => if (v <= 1) 0 else 1
     val stats = IterationStats.compute(trace, assign)
-    assert(stats(0).involvedWorkers === Set(0, 1))
-    assert(stats(2).involvedWorkers === Set(1))
+    assert(workers(stats.involved(0)) === Set(0, 1))
+    assert(workers(stats.involved(2)) === Set(1))
   }
 
   test("isLocal only when one worker computes and no message crosses") {
     val allOne: Int => Int = _ => 0
     val statsLocal = IterationStats.compute(trace, allOne)
-    assert(statsLocal.forall(_.isLocal))
+    assert(rows(statsLocal).forall(statsLocal.isLocal))
     val split: Int => Int = v => if (v <= 1) 0 else 1
     val stats = IterationStats.compute(trace, split)
-    assert(stats.map(_.isLocal) === Vector(false, false, true))
+    assert(rows(stats).map(stats.isLocal) === Vector(false, false, true))
   }
 
   test("a single-worker assignment yields zero remote messages") {
     val stats = IterationStats.compute(trace, _ => 0)
-    assert(stats.forall(_.remoteMsgs.isEmpty))
-    assert(stats.map(_.totalRemote).sum === 0)
+    assert(rows(stats).forall(stats.remotePairs(_) == 0))
+    assert(rows(stats).map(stats.remoteMsgs).sum === 0)
   }
 
   test("totals are conserved under any assignment") {
     for (mod <- 1 to 4) {
       val assign: Int => Int = v => v % mod
       val stats = IterationStats.compute(trace, assign)
-      assert(stats.map(_.totalActive).sum === trace.activations.size)
-      assert(stats.map(_.totalRemote).sum === crossing(assign))
+      assert(rows(stats).map(r => (0 until stats.width).map(stats.active(r, _)).sum).sum === trace.activations.size)
+      assert(rows(stats).map(stats.remoteMsgs).sum === crossing(assign))
     }
   }
 
-  test("byQuery groups and orders iterations") {
+  test("per-query row ranges group and order iterations") {
     val assign: Int => Int = _ % 2
     val stats = IterationStats.compute(trace, assign)
-    val grouped = IterationStats.byQuery(stats)
-    assert(grouped.keySet === Set(0))
-    assert(grouped(0).map(_.iter) === Vector(0, 1, 2))
+    assert((0 until stats.queries).map(stats.queryId) === Vector(0))
+    assert(stats.queryRows(0).map(stats.iter) === Vector(0, 1, 2))
+  }
+
+  test("BatchStats.of holds exactly its records") {
+    val recs = Vector(
+      QueryIterStat(3, 0, Map(0 -> 2), Map.empty),
+      QueryIterStat(3, 2, Map(1 -> 1, 4 -> 3), Map((1, 4) -> 2, (4, 0) -> 1)),
+      QueryIterStat(5, 1, Map(2 -> 1), Map((2, 1) -> 1)))
+    assert(BatchStats.of(recs.reverse).records === recs)
+  }
+
+  test("an assignment beyond the 64-worker limit fails") {
+    val e = intercept[IllegalArgumentException](IterationStats.compute(trace, _ => 64))
+    assert(e.getMessage.contains("at most 64 workers"), e.getMessage)
+  }
+
+  private def check(prop: Prop, minTests: Int): Unit = {
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(minTests), prop)
+    assert(res.passed, res.status.toString)
+  }
+
+  /** A random trace over 30 vertices and an assignment onto k workers. Its
+    * qids start anywhere and have gaps, each query's iterations have gaps,
+    * both columns are shuffled out of (qid, iter) order, most messages fall
+    * on an activation's (qid, iter), many with the same worker pair, and the
+    * rest on any (qid, iter), often one without activation.
+    */
+  private val genReplay: Gen[(Int, BatchTrace, Array[Int])] = for {
+    k <- Gen.choose(1, 16)
+    q0 <- Gen.choose(0, 300)
+    qids <- Gen.someOf(q0 to q0 + 6)
+    acts <- Gen.sequence[List[List[ActRec]], List[ActRec]](qids.map { q =>
+      Gen.someOf(0 to 6).flatMap(iters => Gen.sequence[List[List[ActRec]], List[ActRec]](iters.map { it =>
+        Gen.nonEmptyListOf(Gen.choose(0, 29)).map(_.map(ActRec(q, it, _)))
+      }).map(_.flatten))
+    }).map(_.flatten)
+    anywhere = Gen.zip(Gen.choose(q0 - 1, q0 + 7), Gen.choose(0, 7))
+    onActivation = if (acts.isEmpty) anywhere else Gen.oneOf(acts).map(a => (a.qid, a.iter))
+    nMsgs <- Gen.choose(0, 200)
+    msgs <- Gen.listOfN(nMsgs, for {
+      (q, it) <- Gen.frequency(3 -> onActivation, 1 -> anywhere)
+      src <- Gen.choose(0, 29); dst <- Gen.choose(0, 29)
+    } yield MsgRec(q, it, src, dst))
+    assign <- Gen.listOfN(30, Gen.choose(0, k - 1))
+    seed <- Gen.long
+  } yield {
+    val rnd = new scala.util.Random(seed)
+    (k, BatchTrace(0, Vector.empty, 0, rnd.shuffle(acts), rnd.shuffle(msgs), Map.empty, Map.empty), assign.toArray)
+  }
+
+  test("property: compute equals the boxed hash-map computation of the oracle") {
+    def mask(ws: Iterable[Int]): Long = ws.foldLeft(0L)((m, w) => m | 1L << w)
+    check(Prop.forAllNoShrink(genReplay) { case (k, t, assign) =>
+      val stats = IterationStats.compute(t, assign(_))
+      val expected = Oracle.iterationStats(t, assign(_))
+      stats.width <= k && stats.records == expected && expected.indices.forall { r =>
+        val e = expected(r)
+        stats.computing(r) == mask(e.actByWorker.keys) &&
+          stats.involved(r) == mask(e.actByWorker.keys ++ e.remoteMsgs.keys.flatMap { case (a, b) => Seq(a, b) }) &&
+          stats.remotePairs(r) == e.remoteMsgs.size && stats.remoteMsgs(r) == e.remoteMsgs.values.sum
+      }
+    }, minTests = 300)
   }
 
   test("oracle: per-(query, iteration, worker) activation counts match DuckDB") {
@@ -84,7 +150,7 @@ class IterationStatsSpec extends SparkSpec {
     val hash = repro.partition.HashPartitioner.assign(g, 4)
     val stats = IterationStats.compute(real, hash(_))
     val statsDf = spark.createDataset(
-      stats.flatMap(s => s.actByWorker.map { case (w, n) => (s.qid, s.iter, w, n.toLong) })
+      stats.records.flatMap(s => s.actByWorker.map { case (w, n) => (s.qid, s.iter, w, n.toLong) })
     ).toDF("qid", "iter", "worker", "n")
     val adf = Oracle.activationsDf(spark, real)
     val sdf = Oracle.assignmentDf(spark, hash)
@@ -105,7 +171,7 @@ class IterationStatsSpec extends SparkSpec {
     val hash = repro.partition.HashPartitioner.assign(g, 4)
     val stats = IterationStats.compute(real, hash(_))
     val remoteDf = spark.createDataset(
-      stats.flatMap(s => s.remoteMsgs.map { case ((a, b), n) => (s.qid, s.iter, a, b, n.toLong) })
+      stats.records.flatMap(s => s.remoteMsgs.map { case ((a, b), n) => (s.qid, s.iter, a, b, n.toLong) })
     ).toDF("qid", "iter", "wsrc", "wdst", "n")
     val mdf = Oracle.messagesDf(spark, real)
     val sdf = Oracle.assignmentDf(spark, hash)

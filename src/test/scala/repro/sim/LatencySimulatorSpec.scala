@@ -17,24 +17,27 @@ class LatencySimulatorSpec extends AnyFunSuite {
                    remote: Map[(Int, Int), Int] = Map.empty): QueryIterStat =
     QueryIterStat(qid, iter, act, remote)
 
+  private def simulate(records: Seq[QueryIterStat], k: Int, mode: BarrierMode, c: CostModel): BatchSim =
+    LatencySimulator.simulateBatch(BatchStats.of(records), k, mode, c)
+
   test("single local query: compute plus local barrier per iteration") {
     val stats = Vector(stat(0, 0, Map(0 -> 2)), stat(0, 1, Map(0 -> 3)))
-    val r = LatencySimulator.simulateBatch(stats, k = 2, BarrierMode.Hybrid, c)
+    val r = simulate(stats, k = 2, BarrierMode.Hybrid, c)
     assert(math.abs(r.latency(0) - (2 + 0.25 + 3 + 0.25)) < 1e-9)
     assert(math.abs(r.makespan - r.latency(0)) < 1e-9)
   }
 
   test("split iteration: parallel compute, comm cost, limited barrier") {
     val stats = Vector(stat(0, 0, Map(0 -> 2, 1 -> 1), Map((0, 1) -> 3)))
-    val r = LatencySimulator.simulateBatch(stats, k = 2, BarrierMode.Hybrid, c)
+    val r = simulate(stats, k = 2, BarrierMode.Hybrid, c)
     // compute max(2,1)=2; comm 0.5 + 3*0.1 = 0.8; barrier 2 + 2*1 = 4
     assert(math.abs(r.latency(0) - 6.8) < 1e-9)
   }
 
   test("per-query-global pays the full k-worker barrier even for local queries") {
     val stats = Vector(stat(0, 0, Map(0 -> 2)))
-    val hybrid = LatencySimulator.simulateBatch(stats, k = 8, BarrierMode.Hybrid, c)
-    val global = LatencySimulator.simulateBatch(stats, k = 8, BarrierMode.PerQueryGlobal, c)
+    val hybrid = simulate(stats, k = 8, BarrierMode.Hybrid, c)
+    val global = simulate(stats, k = 8, BarrierMode.PerQueryGlobal, c)
     assert(math.abs(hybrid.latency(0) - (2 + 0.25)) < 1e-9)
     assert(math.abs(global.latency(0) - (2 + 2.0 + 8.0)) < 1e-9)
   }
@@ -43,7 +46,7 @@ class LatencySimulatorSpec extends AnyFunSuite {
     val stats = Vector(
       stat(0, 0, Map(0 -> 2)),
       stat(1, 0, Map(0 -> 1)))
-    val r = LatencySimulator.simulateBatch(stats, k = 1, BarrierMode.Hybrid, c)
+    val r = simulate(stats, k = 1, BarrierMode.Hybrid, c)
     assert(math.abs(r.latency(1) - (2 + 0.25)) < 1e-9) // 1 unit at rate 1/2
     assert(math.abs(r.latency(0) - (3 + 0.25)) < 1e-9) // rest at full rate
   }
@@ -52,7 +55,7 @@ class LatencySimulatorSpec extends AnyFunSuite {
     val stats = Vector(
       stat(0, 0, Map(0 -> 5)),
       stat(1, 0, Map(1 -> 5)))
-    val r = LatencySimulator.simulateBatch(stats, k = 2, BarrierMode.Hybrid, c)
+    val r = simulate(stats, k = 2, BarrierMode.Hybrid, c)
     assert(math.abs(r.latency(0) - 5.25) < 1e-9)
     assert(math.abs(r.latency(1) - 5.25) < 1e-9)
   }
@@ -61,8 +64,8 @@ class LatencySimulatorSpec extends AnyFunSuite {
     val stats = Vector(
       stat(0, 0, Map(0 -> 1)), stat(0, 1, Map(0 -> 1)),
       stat(1, 0, Map(1 -> 1)))
-    val shared = LatencySimulator.simulateBatch(stats, k = 2, BarrierMode.SharedGlobal, c)
-    val hybrid = LatencySimulator.simulateBatch(stats, k = 2, BarrierMode.Hybrid, c)
+    val shared = simulate(stats, k = 2, BarrierMode.SharedGlobal, c)
+    val hybrid = simulate(stats, k = 2, BarrierMode.Hybrid, c)
     // Round: ps 1 + barrier (2 + 2) = 5 per round.
     assert(math.abs(shared.latency(1) - 5.0) < 1e-9)
     assert(math.abs(shared.latency(0) - 10.0) < 1e-9)
@@ -75,14 +78,14 @@ class LatencySimulatorSpec extends AnyFunSuite {
       stat(0, 0, Map(0 -> 3)), stat(0, 1, Map(0 -> 2, 1 -> 1), Map((0, 1) -> 2)),
       stat(1, 0, Map(2 -> 4)), stat(1, 1, Map(2 -> 1)))
     for (k <- Seq(4, 8, 16)) {
-      val h = LatencySimulator.simulateBatch(stats, k, BarrierMode.Hybrid, c)
-      val g = LatencySimulator.simulateBatch(stats, k, BarrierMode.PerQueryGlobal, c)
+      val h = simulate(stats, k, BarrierMode.Hybrid, c)
+      val g = simulate(stats, k, BarrierMode.PerQueryGlobal, c)
       h.latency.foreach { case (q, l) => assert(l <= g.latency(q) + 1e-9, s"k=$k q=$q") }
     }
   }
 
   test("latency grows with remote message volume") {
-    def withMsgs(n: Int) = LatencySimulator.simulateBatch(
+    def withMsgs(n: Int) = simulate(
       Vector(stat(0, 0, Map(0 -> 1, 1 -> 1), Map((0, 1) -> n))), 2, BarrierMode.Hybrid, c)
     assert(withMsgs(10).latency(0) < withMsgs(100).latency(0))
   }
@@ -91,7 +94,7 @@ class LatencySimulatorSpec extends AnyFunSuite {
     val stats = Vector(
       stat(0, 0, Map(0 -> 1)),
       stat(1, 0, Map(1 -> 7)))
-    val r = LatencySimulator.simulateBatch(stats, k = 2, BarrierMode.Hybrid, c)
+    val r = simulate(stats, k = 2, BarrierMode.Hybrid, c)
     assert(math.abs(r.makespan - r.latency.values.max) < 1e-9)
   }
 
@@ -102,15 +105,15 @@ class LatencySimulatorSpec extends AnyFunSuite {
   }
 
   test("empty stats simulate to an empty batch") {
-    val r = LatencySimulator.simulateBatch(Vector.empty, 2, BarrierMode.Hybrid, c)
+    val r = simulate(Vector.empty, 2, BarrierMode.Hybrid, c)
     assert(r.latency.isEmpty && r.makespan === 0.0)
   }
 
   test("contention: co-located queries are slower than spread queries") {
     val colocated = Vector(stat(0, 0, Map(0 -> 4)), stat(1, 0, Map(0 -> 4)))
     val spread = Vector(stat(0, 0, Map(0 -> 4)), stat(1, 0, Map(1 -> 4)))
-    val rc = LatencySimulator.simulateBatch(colocated, 2, BarrierMode.Hybrid, c)
-    val rs = LatencySimulator.simulateBatch(spread, 2, BarrierMode.Hybrid, c)
+    val rc = simulate(colocated, 2, BarrierMode.Hybrid, c)
+    val rs = simulate(spread, 2, BarrierMode.Hybrid, c)
     assert(rc.sumLatency > rs.sumLatency,
       s"colocated ${rc.sumLatency} should exceed spread ${rs.sumLatency}")
   }
@@ -120,7 +123,7 @@ class LatencySimulatorSpec extends AnyFunSuite {
     // One iteration, 1 active vertex on w0, messages to w1: both workers
     // are involved; they work in parallel -> compute = max(10+1, 10+0) = 11.
     val stats = Vector(stat(0, 0, Map(0 -> 1), Map((0, 1) -> 1)))
-    val r = LatencySimulator.simulateBatch(stats, k = 2, BarrierMode.Hybrid, cf)
+    val r = simulate(stats, k = 2, BarrierMode.Hybrid, cf)
     val comm = 0.5 + 0.1
     val barrier = 2.0 + 2 * 1.0
     assert(math.abs(r.latency(0) - (11.0 + comm + barrier)) < 1e-9)
@@ -136,8 +139,8 @@ class LatencySimulatorSpec extends AnyFunSuite {
     val split = Vector(
       stat(0, 0, Map(0 -> 1, 1 -> 1)),
       stat(1, 0, Map(0 -> 1, 1 -> 1)))
-    val rl = LatencySimulator.simulateBatch(local, 2, BarrierMode.Hybrid, cf)
-    val rs = LatencySimulator.simulateBatch(split, 2, BarrierMode.Hybrid, cf)
+    val rl = simulate(local, 2, BarrierMode.Hybrid, cf)
+    val rs = simulate(split, 2, BarrierMode.Hybrid, cf)
     assert(rs.latency(0) > rl.latency(0))
   }
 
@@ -150,7 +153,7 @@ class LatencySimulatorSpec extends AnyFunSuite {
     val stats = Vector(
       stat(0, 0, Map(1 -> 3, 7 -> 7, 10 -> 9, 11 -> 3, 12 -> 7)),
       stat(1, 0, Map(2 -> 8, 5 -> 8, 6 -> 2, 8 -> 3, 13 -> 9)))
-    val r = LatencySimulator.simulateBatch(stats, k = 16, BarrierMode.Hybrid, workOnly)
+    val r = simulate(stats, k = 16, BarrierMode.Hybrid, workOnly)
     assert(math.abs(r.latency(0) - 9.0) < 1e-9, r.latency)
     assert(math.abs(r.latency(1) - 9.0) < 1e-9, r.latency)
   }
@@ -161,10 +164,10 @@ class LatencySimulatorSpec extends AnyFunSuite {
       stat(1, 0, Map(0 -> 6, 1 -> 5, 8 -> 9, 10 -> 8, 15 -> 9)),
       stat(2, 0, Map(0 -> 7, 2 -> 3, 6 -> 7, 9 -> 4, 10 -> 1, 14 -> 8, 15 -> 4)))
     // Worker 15 carries 6 + 9 + 4 = 19 units, more than any other worker.
-    val shared = LatencySimulator.simulateBatch(stats, k = 16, BarrierMode.SharedGlobal, workOnly)
+    val shared = simulate(stats, k = 16, BarrierMode.SharedGlobal, workOnly)
     for (q <- 0 to 2) assert(math.abs(shared.latency(q) - 19.0) < 1e-9, shared.latency)
     // Decoupled, q1 holds the largest share of worker 15 and drains it last.
-    val hybrid = LatencySimulator.simulateBatch(stats, k = 16, BarrierMode.Hybrid, workOnly)
+    val hybrid = simulate(stats, k = 16, BarrierMode.Hybrid, workOnly)
     assert(math.abs(hybrid.latency(1) - 19.0) < 1e-9, hybrid.latency)
   }
 
@@ -174,8 +177,8 @@ class LatencySimulatorSpec extends AnyFunSuite {
     val split = Vector(
       stat(0, 0, Map(0 -> 4, 1 -> 4), Map((0, 1) -> 4, (1, 0) -> 4)),
       stat(0, 1, Map(0 -> 4, 1 -> 4), Map((0, 1) -> 4, (1, 0) -> 4)))
-    val rl = LatencySimulator.simulateBatch(local, 2, BarrierMode.Hybrid, c)
-    val rsp = LatencySimulator.simulateBatch(split, 2, BarrierMode.Hybrid, c)
+    val rl = simulate(local, 2, BarrierMode.Hybrid, c)
+    val rsp = simulate(split, 2, BarrierMode.Hybrid, c)
     // local: (8 + 0.25) * 2 = 16.5; split: (4 + 1.8 + 4) * 2 = 19.6
     assert(rl.latency(0) < rsp.latency(0))
   }

@@ -16,16 +16,17 @@ class MetricsSpec extends AnyFunSuite {
       stat(0, 1, Map(0 -> 2, 1 -> 1)),
       stat(0, 2, Map(0 -> 1)),
       stat(0, 3, Map(0 -> 1)))
-    assert(Metrics.queryLocality(stats) === Map(0 -> 0.75))
+    assert(Metrics.queryLocality(BatchStats.of(stats)) === Map(0 -> 0.75))
   }
 
   test("the metric is compute-locality: a remote message does not break it") {
     // The paper's Fig 6f metric counts iterations whose *active vertices*
     // share a worker; message fan-out only matters for the barrier model.
     val s = stat(0, 0, Map(0 -> 1), Map((0, 1) -> 1))
-    assert(Metrics.queryLocality(Vector(s)) === Map(0 -> 1.0))
-    assert(!s.isLocal, "the synchronization-sense locality does consider messages")
-    assert(s.isComputeLocal)
+    val b = BatchStats.of(Vector(s))
+    assert(Metrics.queryLocality(b) === Map(0 -> 1.0))
+    assert(!b.isLocal(0), "the synchronization-sense locality does consider messages")
+    assert(b.isComputeLocal(0))
   }
 
   test("average locality averages per query, not per iteration") {
@@ -33,18 +34,18 @@ class MetricsSpec extends AnyFunSuite {
       stat(0, 0, Map(0 -> 1)), stat(0, 1, Map(0 -> 1)), stat(0, 2, Map(0 -> 1)),
       stat(1, 0, Map(0 -> 1, 1 -> 1)))
     // q0 locality 1.0, q1 locality 0.0 -> average 0.5 (not 3/4)
-    assert(Metrics.avgQueryLocality(stats) === 0.5)
+    assert(Metrics.avgQueryLocality(BatchStats.of(stats)) === 0.5)
   }
 
   test("workload imbalance of a perfectly balanced assignment is 0") {
-    val stats = Vector(stat(0, 0, Map(0 -> 5, 1 -> 5)))
-    assert(Metrics.workloadImbalance(stats, 2) === 0.0)
+    val stats = BatchStats.of(Vector(stat(0, 0, Map(0 -> 5, 1 -> 5))))
+    assert(Metrics.windowImbalance(Seq(Metrics.workerLoads(stats, 2)), 2) === 0.0)
   }
 
   test("workload imbalance of a fully skewed assignment") {
-    val stats = Vector(stat(0, 0, Map(0 -> 10)))
+    val stats = BatchStats.of(Vector(stat(0, 0, Map(0 -> 10))))
     // loads (10, 0), avg 5 -> mean deviation 5 -> 5/5 = 1.0
-    assert(Metrics.workloadImbalance(stats, 2) === 1.0)
+    assert(Metrics.windowImbalance(Seq(Metrics.workerLoads(stats, 2)), 2) === 1.0)
   }
 
   test("sliding imbalance smooths opposite single-batch skews to zero") {
@@ -67,8 +68,9 @@ class MetricsSpec extends AnyFunSuite {
   }
 
   test("empty stats yield locality 1 and imbalance 0") {
-    assert(Metrics.avgQueryLocality(Vector.empty) === 1.0)
-    assert(Metrics.workloadImbalance(Vector.empty, 4) === 0.0)
+    val empty = BatchStats.of(Vector.empty)
+    assert(Metrics.avgQueryLocality(empty) === 1.0)
+    assert(Metrics.windowImbalance(Seq(Metrics.workerLoads(empty, 4)), 4) === 0.0)
   }
 
   test("queryCut counts non-empty local scopes per query") {
