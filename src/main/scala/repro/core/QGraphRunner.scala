@@ -1,9 +1,13 @@
 package repro.core
 
+import java.util.concurrent.ExecutionException
 import repro.engine.BatchTrace
 import repro.qcut.IlsResult
 import repro.sim._
 import repro.sync.BarrierMode
+import scala.concurrent.{Await, ExecutionContext, Future}
+import scala.concurrent.duration.Duration
+import scala.util.control.NonFatal
 
 /** One end-to-end run configuration: an initial static partitioning, a
   * barrier model, and whether the adaptive Q-cut controller is active.
@@ -51,13 +55,31 @@ final case class RunResult(
   * simulated Q-Graph runtime: statistics -> latency simulation -> controller
   * MAPE loop -> optional repartitioning at a global barrier.
   *
-  * Batches execute sequentially (each is "16 parallel queries", Section
-  * 4.2); the simulated clock accumulates batch makespans plus, when the
-  * controller repartitions, the global STOP/START barrier and the scope
-  * movement cost. The ILS itself runs asynchronously to query processing
-  * (Appendix A.3) and therefore does not advance the clock.
+  * Batches execute sequentially in *simulated* time (each is "16 parallel
+  * queries", Section 4.2); the simulated clock accumulates batch makespans
+  * plus, when the controller repartitions, the global STOP/START barrier and
+  * the scope movement cost. The ILS itself runs asynchronously to query
+  * processing (Appendix A.3) and therefore does not advance the clock.
+  *
+  * Only host wall-clock overlaps: a static run replays every batch under
+  * the one initial assignment, so its batches do not depend on each other
+  * and are replayed concurrently on the shared pool, then folded in batch
+  * order — the result is bit for bit the sequential one. An adaptive run
+  * replays its batches one after another, because the controller's decision
+  * after batch i sets the assignment of batch i + 1.
   */
 object QGraphRunner {
+
+  /** One batch replayed under one assignment. */
+  private final class Replay(val stats: BatchStats, val sim: BatchSim, val locality: Double,
+      val loads: Map[Int, Long], val imbalance: Double)
+
+  private def replay(trace: BatchTrace, assign: Array[Int], cfg: RunConfig): Replay = {
+    val stats = IterationStats.compute(trace, v => assign(v))
+    val sim = LatencySimulator.simulateBatch(stats, cfg.k, cfg.barrier, cfg.cost)
+    val loads = Metrics.workerLoads(stats, cfg.k)
+    new Replay(stats, sim, Metrics.avgQueryLocality(stats), loads, Metrics.windowImbalance(Seq(loads), cfg.k))
+  }
 
   def run(initialAssign: Array[Int], traces: Seq[BatchTrace], cfg: RunConfig): RunResult = {
     require(traces.nonEmpty, "no traces")
@@ -68,17 +90,27 @@ object QGraphRunner {
     val latencies = Map.newBuilder[Int, Double]
     val ilsRuns = Vector.newBuilder[IlsResult]
 
-    for (trace <- traces) {
-      val a = assign // stable snapshot for the closure
-      val stats = IterationStats.compute(trace, v => a(v))
-      val sim = LatencySimulator.simulateBatch(stats, cfg.k, cfg.barrier, cfg.cost)
-      clock += sim.makespan
-      latencies ++= sim.latency
+    // A static run starts every batch's replay at once; the loop below
+    // folds them in batch order.
+    val static: Vector[Future[Replay]] =
+      if (cfg.adaptive) Vector.empty
+      else {
+        val a = assign
+        traces.toVector.map(t => Future {
+          // A fatal error would leave the future incomplete, and the await
+          // below would hang instead of failing.
+          try replay(t, a, cfg) catch { case e: Throwable if !NonFatal(e) => throw new ExecutionException(e) }
+        }(ExecutionContext.global))
+      }
+    for ((trace, i) <- traces.zipWithIndex) {
+      val r = if (cfg.adaptive) replay(trace, assign, cfg) else Await.result(static(i), Duration.Inf)
+      clock += r.sim.makespan
+      latencies ++= r.sim.latency
 
       var repartitioned = false
       var moved = 0L
       if (cfg.adaptive) {
-        controller.observeBatch(trace, stats, clock)
+        controller.observeBatch(trace, r.stats, clock)
         if (controller.shouldRepartition) {
           val outcome = controller.repartition(assign)
           // Hysteresis: enact the plan only when it buys something *relative
@@ -99,13 +131,10 @@ object QGraphRunner {
           }
         }
       }
-      val loads = Metrics.workerLoads(stats, cfg.k)
       batches += BatchOutcome(
         trace.batchId, trace.queries.size,
-        sim.avgLatency, sim.sumLatency, sim.makespan,
-        Metrics.avgQueryLocality(stats),
-        Metrics.windowImbalance(Seq(loads), cfg.k),
-        loads,
+        r.sim.avgLatency, r.sim.sumLatency, r.sim.makespan,
+        r.locality, r.imbalance, r.loads,
         repartitioned, moved)
     }
     RunResult(cfg, batches.result(), latencies.result(), ilsRuns.result())

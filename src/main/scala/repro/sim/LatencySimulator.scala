@@ -1,5 +1,6 @@
 package repro.sim
 
+import java.lang.Long.numberOfTrailingZeros
 import repro.sync.BarrierMode
 
 /** Simulated outcome of one batch.
@@ -32,41 +33,105 @@ final case class BatchSim(latency: Map[Int, Double], makespan: Double) {
   * Under [[BarrierMode.SharedGlobal]] all queries advance in lock-step
   * rounds and share a single global barrier per round; under the decoupled
   * modes each query runs its own iteration clock.
+  *
+  * The kernel works on flat arrays, one entry per row of the
+  * [[BatchStats]] (one iteration of one query): the work left on each
+  * worker, `k` wide and drained in place; the post-compute delay; and a
+  * bitmask of the workers that still have work. A job is the row a query
+  * is computing; a step allocates nothing.
   */
 object LatencySimulator {
 
   private val Eps = 1e-12
 
-  /** One iteration of one query: vertex work per worker (a k-length vector,
-    * drained in place by [[share]]) and the communication + barrier delay
-    * that follows the compute phase.
+  /** The compute work of every row and the communication + barrier delay
+    * that follows it.
     */
-  private final class IterCost(val work: Array[Double], val postDelay: Double)
+  private final class Rows(s: BatchStats, val k: Int, mode: BarrierMode, c: CostModel) {
+    val work = new Array[Double](s.size * k)
+    val post = new Array[Double](s.size)
+    /** Workers with work above Eps left, per row. */
+    val live = new Array[Long](s.size)
 
-  private def iterCost(s: BatchStats, row: Int, k: Int, mode: BarrierMode, c: CostModel): IterCost = {
-    val involved = s.involved(row)
-    // Every involved worker (computing or receiving) pays the fixed
-    // per-(query, iteration) participation cost plus per-vertex work.
-    val work = new Array[Double](k)
-    var ws = involved
-    while (ws != 0) {
-      val w = java.lang.Long.numberOfTrailingZeros(ws)
-      work(w) = c.tIterWorker + s.active(row, w) * c.tVertex
-      ws &= ws - 1
+    locally {
+      var row = 0
+      while (row < s.size) {
+        val involved = s.involved(row)
+        // Every involved worker (computing or receiving) pays the fixed
+        // per-(query, iteration) participation cost plus per-vertex work.
+        var ws = involved
+        while (ws != 0) {
+          val w = numberOfTrailingZeros(ws)
+          val x = c.tIterWorker + s.active(row, w) * c.tVertex
+          work(row * k + w) = x
+          if (x > Eps) live(row) |= 1L << w
+          ws &= ws - 1
+        }
+        val remote = s.remoteMsgs(row)
+        val comm =
+          if (remote == 0) 0.0
+          else c.tFlushPair * s.remotePairs(row) + c.tMsgRemote * remote
+        val barrier = mode match {
+          // Paid once per round, in `simulateLockstep`, not per query.
+          case BarrierMode.SharedGlobal => 0.0
+          case BarrierMode.Hybrid =>
+            if (s.isLocal(row)) c.tBarrierLocal
+            else c.tBarrierBase + c.tBarrierPerWorker * java.lang.Long.bitCount(involved)
+          case BarrierMode.PerQueryGlobal => c.tBarrierBase + c.tBarrierPerWorker * k
+        }
+        post(row) = comm + barrier
+        row += 1
+      }
     }
-    val remote = s.remoteMsgs(row)
-    val comm =
-      if (remote == 0) 0.0
-      else c.tFlushPair * s.remotePairs(row) + c.tMsgRemote * remote
-    val barrier = mode match {
-      // Paid once per round, in `simulateLockstep`, not per query.
-      case BarrierMode.SharedGlobal => 0.0
-      case BarrierMode.Hybrid =>
-        if (s.isLocal(row)) c.tBarrierLocal
-        else c.tBarrierBase + c.tBarrierPerWorker * java.lang.Long.bitCount(involved)
-      case BarrierMode.PerQueryGlobal => c.tBarrierBase + c.tBarrierPerWorker * k
+
+    /** Per-worker count of jobs with work left, filled by [[share]]. */
+    private val n = new Array[Int](k)
+
+    /** Processor sharing: worker w serves the n(w) jobs with work above Eps
+      * on it at rate 1/n(w) each. Advances the jobs `rows(0 until jobs)` by
+      * dt, the smaller of `bound` and the time until the first (job,
+      * worker) share drains, and returns dt; it is infinite when no job has
+      * work and `bound` is.
+      */
+    def share(rows: Array[Int], jobs: Int, bound: Double): Double = {
+      java.util.Arrays.fill(n, 0)
+      var j = 0
+      while (j < jobs) {
+        var ws = live(rows(j))
+        while (ws != 0) { n(numberOfTrailingZeros(ws)) += 1; ws &= ws - 1 }
+        j += 1
+      }
+      var dt = bound
+      j = 0
+      while (j < jobs) {
+        val base = rows(j) * k
+        var ws = live(rows(j))
+        while (ws != 0) {
+          val w = numberOfTrailingZeros(ws)
+          dt = math.min(dt, work(base + w) * n(w))
+          ws &= ws - 1
+        }
+        j += 1
+      }
+      if (dt.isFinite) {
+        j = 0
+        while (j < jobs) {
+          val row = rows(j)
+          val base = row * k
+          var ws = live(row)
+          while (ws != 0) {
+            val w = numberOfTrailingZeros(ws)
+            val r = work(base + w) - dt / n(w)
+            val left = if (r < Eps) 0.0 else r
+            work(base + w) = left
+            if (!(left > Eps)) live(row) &= ~(1L << w)
+            ws &= ws - 1
+          }
+          j += 1
+        }
+      }
+      dt
     }
-    new IterCost(work, comm + barrier)
   }
 
   /** Simulates one batch. `stats` must come from `IterationStats.compute`. */
@@ -76,72 +141,79 @@ object LatencySimulator {
       mode: BarrierMode,
       c: CostModel): BatchSim = {
     require(stats.width <= k, s"stats involve worker ${stats.width - 1}, beyond k = $k")
-    val perQuery: Array[(Int, Array[IterCost])] =
-      Array.tabulate(stats.queries) { i =>
-        stats.queryId(i) -> stats.queryRows(i).map(iterCost(stats, _, k, mode, c)).toArray
-      }
+    val rows = new Rows(stats, k, mode, c)
     mode match {
-      case BarrierMode.SharedGlobal => simulateLockstep(perQuery, k, c)
-      case _ => simulateDecoupled(perQuery, k)
+      case BarrierMode.SharedGlobal => simulateLockstep(stats, rows, c)
+      case _ => simulateDecoupled(stats, rows)
     }
   }
 
-  /** Processor sharing: worker w serves the n(w) jobs with work above Eps
-    * on it at rate 1/n(w) each. Advances every job by dt, the smaller of
-    * `bound` and the time until the first (job, worker) share drains, and
-    * returns dt; it is infinite when no job has work and `bound` is.
+  /** The latency of every query, added in qid order: a map of up to four
+    * entries iterates in insertion order, and `BatchSim.sumLatency` sums in
+    * that order.
     */
-  private def share(jobs: Array[Array[Double]], k: Int, bound: Double): Double = {
-    val n = new Array[Int](k)
-    for (j <- jobs; w <- 0 until k) if (j(w) > Eps) n(w) += 1
-    var dt = bound
-    for (j <- jobs; w <- 0 until k) if (j(w) > Eps) dt = math.min(dt, j(w) * n(w))
-    if (dt.isFinite) for (j <- jobs; w <- 0 until k) if (j(w) > Eps) {
-      val r = j(w) - dt / n(w)
-      j(w) = if (r < Eps) 0.0 else r
-    }
-    dt
+  private def latencies(s: BatchStats, of: Int => Double): Map[Int, Double] = {
+    val b = Map.newBuilder[Int, Double]
+    for (i <- 0 until s.queries) b += s.queryId(i) -> of(i)
+    b.result()
   }
 
-  /** Decoupled modes: every query is an independent job over its iteration
-    * list; workers are processor-shared among queries in their compute phase.
+  /** Decoupled modes: every query is an independent job over its rows;
+    * workers are processor-shared among queries in their compute phase.
     */
-  private def simulateDecoupled(perQuery: Array[(Int, Array[IterCost])], k: Int): BatchSim = {
-    final class QState(val qid: Int, val iters: Array[IterCost]) {
-      var idx = 0
-      var wakeAt: Double = Double.NaN // NaN = computing
-      var doneAt: Double = Double.NaN
-      def work: Array[Double] = iters(idx).work
-      def done: Boolean = !doneAt.isNaN
-      def computing: Boolean = !done && wakeAt.isNaN
-      def waiting: Boolean = !done && !wakeAt.isNaN
-      /** Ends the compute phase at `t` once no work is left. */
-      def endCompute(t: Double): Unit = if (!work.exists(_ > Eps)) wakeAt = t + iters(idx).postDelay
-    }
-    val qs = perQuery.map { case (qid, its) => new QState(qid, its) }
-    qs.foreach(_.endCompute(0.0))
+  private def simulateDecoupled(s: BatchStats, rows: Rows): BatchSim = {
+    val nq = s.queries
+    val row = Array.tabulate(nq)(s.queryRows(_).start)
+    val end = Array.tabulate(nq)(s.queryRows(_).end)
+    // NaN = computing.
+    val wakeAt = Array.fill(nq)(Double.NaN)
+    // NaN = not done.
+    val doneAt = Array.fill(nq)(Double.NaN)
+    val jobs = new Array[Int](nq)
+    val jobQuery = new Array[Int](nq)
+    /** Ends query q's compute phase at `t` once no work is left. */
+    def endCompute(q: Int, t: Double): Unit = if (rows.live(row(q)) == 0) wakeAt(q) = t + rows.post(row(q))
+    def waiting(q: Int): Boolean = doneAt(q).isNaN && !wakeAt(q).isNaN
+
+    var q = 0
+    while (q < nq) { endCompute(q, 0.0); q += 1 }
     var t = 0.0
     var nDone = 0
-    while (nDone < qs.length) {
+    while (nDone < nq) {
       // Wake queries whose comm + barrier delay elapsed.
-      for (q <- qs if q.waiting && q.wakeAt <= t + Eps) {
-        q.idx += 1
-        if (q.idx == q.iters.length) { q.doneAt = q.wakeAt; nDone += 1 }
-        else { q.wakeAt = Double.NaN; q.endCompute(t) }
+      q = 0
+      while (q < nq) {
+        if (waiting(q) && wakeAt(q) <= t + Eps) {
+          row(q) += 1
+          if (row(q) == end(q)) { doneAt(q) = wakeAt(q); nDone += 1 }
+          else { wakeAt(q) = Double.NaN; endCompute(q, t) }
+        }
+        q += 1
       }
-      val computing = qs.filter(_.computing)
-      if (computing.nonEmpty) {
-        var bound = Double.PositiveInfinity
-        for (q <- qs if q.waiting) bound = math.min(bound, q.wakeAt - t)
-        val dt = share(computing.map(_.work), k, bound)
+      var nJobs = 0
+      var bound = Double.PositiveInfinity
+      q = 0
+      while (q < nq) {
+        if (doneAt(q).isNaN) {
+          if (wakeAt(q).isNaN) { jobs(nJobs) = row(q); jobQuery(nJobs) = q; nJobs += 1 }
+          else bound = math.min(bound, wakeAt(q) - t)
+        }
+        q += 1
+      }
+      if (nJobs > 0) {
+        val dt = rows.share(jobs, nJobs, bound)
         require(dt > 0 && dt.isFinite, s"simulator stalled at t=$t (dt=$dt)")
         t += dt
-        computing.foreach(_.endCompute(t))
-      } else if (nDone < qs.length) {
-        t = qs.iterator.filter(_.waiting).map(_.wakeAt).min
+        var j = 0
+        while (j < nJobs) { endCompute(jobQuery(j), t); j += 1 }
+      } else if (nDone < nq) {
+        // Every query left is waiting: jump to the first wake-up.
+        t = Double.PositiveInfinity
+        q = 0
+        while (q < nq) { if (waiting(q)) t = math.min(t, wakeAt(q)); q += 1 }
       }
     }
-    BatchSim(qs.map(q => q.qid -> q.doneAt).toMap, if (qs.isEmpty) 0.0 else qs.map(_.doneAt).max)
+    BatchSim(latencies(s, doneAt(_)), if (nq == 0) 0.0 else doneAt.max)
   }
 
   /** Shared-global BSP: round r runs iteration r of every query that has
@@ -149,22 +221,37 @@ object LatencySimulator {
     * running queries wait on. Communication of different queries overlaps
     * (the round pays the max, not the sum).
     */
-  private def simulateLockstep(perQuery: Array[(Int, Array[IterCost])], k: Int, c: CostModel): BatchSim = {
-    val rounds = perQuery.map(_._2.length).maxOption.getOrElse(0)
+  private def simulateLockstep(s: BatchStats, rows: Rows, c: CostModel): BatchSim = {
+    val nq = s.queries
+    val start = Array.tabulate(nq)(s.queryRows(_).start)
+    val length = Array.tabulate(nq)(s.queryRows(_).length)
+    val rounds = if (nq == 0) 0 else length.max
     val roundEnd = new Array[Double](rounds)
-    val globalBarrier = c.tBarrierBase + c.tBarrierPerWorker * k
+    val globalBarrier = c.tBarrierBase + c.tBarrierPerWorker * rows.k
+    val jobs = new Array[Int](nq)
     var t = 0.0
-    for (r <- 0 until rounds) {
-      val round = perQuery.collect { case (_, its) if its.length > r => its(r) }
-      val work = round.map(_.work)
+    var r = 0
+    while (r < rounds) {
+      var nJobs = 0
+      var maxPost = Double.NegativeInfinity
+      var q = 0
+      while (q < nq) {
+        if (length(q) > r) {
+          jobs(nJobs) = start(q) + r
+          maxPost = math.max(maxPost, rows.post(jobs(nJobs)))
+          nJobs += 1
+        }
+        q += 1
+      }
       var compute = 0.0
-      var dt = share(work, k, Double.PositiveInfinity)
-      while (dt.isFinite) { compute += dt; dt = share(work, k, Double.PositiveInfinity) }
+      var dt = rows.share(jobs, nJobs, Double.PositiveInfinity)
+      while (dt.isFinite) { compute += dt; dt = rows.share(jobs, nJobs, Double.PositiveInfinity) }
       t += compute
-      t += round.map(_.postDelay).max
+      t += maxPost
       t += globalBarrier
       roundEnd(r) = t
+      r += 1
     }
-    BatchSim(perQuery.map { case (qid, its) => qid -> roundEnd(its.length - 1) }.toMap, t)
+    BatchSim(latencies(s, i => roundEnd(length(i) - 1)), t)
   }
 }

@@ -74,6 +74,22 @@ class QGraphRunnerSpec extends SparkSpec {
     assert(a.batches === b.batches)
   }
 
+  test("a static run equals its one-batch runs in order, and itself, at k = 2, 8, 16 in every mode") {
+    // Latencies as (qid, raw bits), in the map's iteration order.
+    def bits(m: Map[Int, Double]) = m.toList.map { case (q, l) => q -> java.lang.Double.doubleToRawLongBits(l) }
+    for (ts <- Seq(traces, TestFixtures.smallPoiTraces); k <- Seq(2, 8, 16);
+         mode <- Seq(BarrierMode.Hybrid, BarrierMode.PerQueryGlobal, BarrierMode.SharedGlobal)) {
+      val assign = HashPartitioner.assign(g, k)
+      val c = RunConfig(s"hash/${mode.name}/k=$k", k, mode)
+      val r = QGraphRunner.run(assign, ts, c)
+      val one = ts.map(t => QGraphRunner.run(assign, Seq(t), c))
+      assert(r.batches === one.flatMap(_.batches), c.name)
+      assert(bits(r.queryLatencies) === bits(one.flatMap(_.queryLatencies).toMap), c.name)
+      val again = QGraphRunner.run(assign, ts, c)
+      assert(again === r && bits(again.queryLatencies) === bits(r.queryLatencies), c.name)
+    }
+  }
+
   test("domain workload imbalance exceeds hash imbalance (Fig 6e shape)") {
     val h = QGraphRunner.run(HashPartitioner.assign(g, k), traces, cfg("hash", adaptive = false))
     val d = QGraphRunner.run(DomainPartitioner.assign(g, k), traces, cfg("domain", adaptive = false))

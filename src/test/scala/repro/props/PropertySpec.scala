@@ -5,7 +5,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.Oracle
 import repro.engine.{ActRec, BatchTrace, Query, QueryKind}
 import repro.qcut._
-import repro.sim.{BatchStats, CostModel, LatencySimulator, QueryIterStat}
+import repro.sim.{BatchSim, BatchStats, CostModel, LatencySimulator, QueryIterStat}
 import repro.sync.BarrierMode
 import repro.workload.QueryWorkload
 
@@ -254,6 +254,49 @@ class PropertySpec extends AnyFunSuite {
         math.abs(r.latency(7) - expected) < 1e-9 && math.abs(r.makespan - expected) < 1e-9
       }
     }, minTests = 300)
+  }
+
+  test("property: the simulator agrees bit for bit with the oracle's in every barrier mode") {
+    // Active vertices per worker and remote messages per worker pair.
+    type Row = (Map[Int, Int], Map[(Int, Int), Int])
+    // Workers up to k - 1 <= 63, with k - 1 drawn often so that rows share it.
+    def genRow(k: Int): Gen[Row] = {
+      val worker = Gen.frequency(4 -> Gen.choose(0, k - 1), 1 -> Gen.const(k - 1))
+      for {
+        nw <- Gen.frequency(2 -> Gen.const(1), 1 -> Gen.choose(1, 6))
+        ws <- Gen.listOfN(nw, worker)
+        acts <- Gen.sequence[List[(Int, Int)], (Int, Int)](ws.distinct.map(w => Gen.choose(1, 20).map(w -> _)))
+        pairs <- Gen.frequency(1 -> Gen.const(Nil), 1 -> Gen.listOf(Gen.zip(worker, worker, Gen.choose(1, 30))))
+      } yield (acts.toMap, pairs.filter(p => p._1 != p._2).take(6).map(p => (p._1, p._2) -> p._3).toMap)
+    }
+    val genCost = Gen.oneOf(Gen.const(CostModel.default), for {
+      Seq(tVertex, tIterWorker, tMsgRemote, tFlushPair, tBarrierBase, tBarrierPerWorker) <-
+        Gen.listOfN(6, Gen.choose(1e-6, 2.0))
+      localShare <- Gen.choose(1e-3, 1.0)
+    } yield CostModel(tVertex = tVertex, tIterWorker = tIterWorker, tMsgRemote = tMsgRemote,
+      tFlushPair = tFlushPair, tBarrierBase = tBarrierBase, tBarrierPerWorker = tBarrierPerWorker,
+      tBarrierLocal = localShare * (tBarrierBase + tBarrierPerWorker)))
+    val gen = for {
+      k <- Gen.frequency(3 -> Gen.choose(1, 64), 1 -> Gen.const(64))
+      nQ <- Gen.choose(0, 12)
+      gaps <- Gen.listOfN(nQ, Gen.choose(1, 4))
+      iters <- Gen.listOfN(nQ, Gen.choose(1, 6))
+      rows <- Gen.sequence[List[List[Row]], List[Row]](iters.map(n => Gen.listOfN(n, genRow(k))))
+      c <- genCost
+    } yield {
+      val qids = gaps.scanLeft(0)(_ + _).tail
+      (k, qids.zip(rows).flatMap { case (q, its) =>
+        its.zipWithIndex.map { case ((a, m), i) => QueryIterStat(q, i, a, m) }
+      }, c)
+    }
+    def bits(r: BatchSim) =
+      (r.latency.toList.map { case (q, l) => q -> java.lang.Double.doubleToRawLongBits(l) },
+        java.lang.Double.doubleToRawLongBits(r.makespan))
+    check(Prop.forAllNoShrink(gen) { case (k, records, c) =>
+      val stats = BatchStats.of(records)
+      modes.forall(mode => bits(LatencySimulator.simulateBatch(stats, k, mode, c)) ==
+        bits(Oracle.simulateBatch(stats, k, mode, c)))
+    }, minTests = 500)
   }
 
   test("property: Karger clustering never exceeds the target on connected graphs") {

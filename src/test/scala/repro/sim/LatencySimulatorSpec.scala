@@ -104,9 +104,48 @@ class LatencySimulatorSpec extends AnyFunSuite {
     assert(r.avgLatency === 3.0)
   }
 
+  private val modes = Seq(BarrierMode.Hybrid, BarrierMode.PerQueryGlobal, BarrierMode.SharedGlobal)
+
   test("empty stats simulate to an empty batch") {
-    val r = simulate(Vector.empty, 2, BarrierMode.Hybrid, c)
-    assert(r.latency.isEmpty && r.makespan === 0.0)
+    for (mode <- modes; k <- Seq(1, 2, 64)) {
+      val r = simulate(Vector.empty, k, mode, c)
+      assert(r.latency.isEmpty && r.makespan === 0.0, s"$mode k=$k")
+    }
+  }
+
+  test("worker 63, the sign bit of a worker mask, computes and is shared") {
+    // Both queries compute on worker 63; q1 also on worker 0 and sends one
+    // message 0 -> 63. Worker 63 runs 2 + 1 units shared: q1 drains it at
+    // t = 2 and q0 at t = 3.
+    val stats = Vector(
+      stat(0, 0, Map(63 -> 2)),
+      stat(1, 0, Map(0 -> 1, 63 -> 1), Map((0, 63) -> 1)))
+    val hybrid = simulate(stats, k = 64, BarrierMode.Hybrid, c)
+    assert(math.abs(hybrid.latency(0) - 3.25) < 1e-9 && math.abs(hybrid.latency(1) - 6.6) < 1e-9, hybrid)
+    // One round: compute 3, the larger post-compute delay 0.6, then the
+    // global barrier 2 + 64.
+    val shared = simulate(stats, k = 64, BarrierMode.SharedGlobal, c)
+    assert(shared.latency.keySet === Set(0, 1))
+    assert(shared.latency.values.forall(l => math.abs(l - 69.6) < 1e-9) && shared.makespan === shared.latency(0), shared)
+  }
+
+  test("BSP-global: a short query ends with its last round, the batch with the longest query") {
+    // q3 computes 1 unit in each of three rounds, q8 2 units in round 0 on
+    // another worker; a round pays its compute and the barrier 2 + 2.
+    val stats = Vector(
+      stat(3, 0, Map(0 -> 1)), stat(3, 1, Map(0 -> 1)), stat(3, 2, Map(0 -> 1)),
+      stat(8, 0, Map(1 -> 2)))
+    val r = simulate(stats, k = 2, BarrierMode.SharedGlobal, c)
+    assert(r.latency === Map(3 -> 16.0, 8 -> 6.0) && r.makespan === 16.0)
+  }
+
+  test("up to four latencies are kept in qid order, the order sumLatency adds them in") {
+    val stats = Vector(stat(9, 0, Map(0 -> 3)), stat(2, 0, Map(1 -> 5)), stat(5, 0, Map(0 -> 1), Map((0, 1) -> 2)))
+    for (mode <- modes) {
+      val r = simulate(stats, k = 2, mode, c)
+      assert(r.latency.keys.toList === List(2, 5, 9), mode)
+      assert(r.sumLatency === 0.0 + r.latency(2) + r.latency(5) + r.latency(9), mode)
+    }
   }
 
   test("contention: co-located queries are slower than spread queries") {
