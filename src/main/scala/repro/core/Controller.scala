@@ -6,10 +6,9 @@ import repro.sim.{BatchStats, Metrics}
 import scala.collection.mutable
 import scala.util.Random
 
-/** Controller configuration (System Settings, Section 4.1).
+/** Controller configuration (System Settings, Section 4.1). The trigger
+  * thresholds are constants of [[Controller]].
   *
-  * @param phi           locality threshold Φ: repartition when the average
-  *                      query locality drops below it (paper: 0.7)
   * @param muSimSeconds  tumbling monitoring window μ in simulated seconds
   *                      (paper: 240 s wall-clock — ours is scaled to the
   *                      simulated clock; it should span a few dozen queries)
@@ -17,22 +16,13 @@ import scala.util.Random
   * @param delta         workload-balance threshold δ (paper: 0.25)
   * @param clusterFactor Karger clustering target is `clusterFactor * k`
   *                      clusters (paper: 4k)
-  * @param imbalanceTrigger active-vertex workload imbalance above which the
-  *                      current partitioning also counts as "suboptimal"
-  *                      (Section 3.4 triggers on suboptimal partitionings;
-  *                      the Q-cut problem statement is *balanced* k-way
-  *                      partitioning, so a partitioning far outside the
-  *                      δ-constraint is repartitioned even when local —
-  *                      this is what lets Q-cut improve on Domain)
   * @param ils           ILS budget (paper: 2 s, interruptible)
   */
 final case class ControllerConfig(
-    phi: Double = 0.7,
     muSimSeconds: Double = 240.0,
     maxQueries: Int = 128,
     delta: Double = 0.25,
     clusterFactor: Int = 4,
-    imbalanceTrigger: Double = 0.5,
     ils: IlsConfig = IlsConfig())
 
 /** Result of one repartitioning decision. `rebalanced` records whether the
@@ -78,7 +68,7 @@ final case class RepartitionOutcome(
   * moves at a global barrier.
   */
 final class Controller(k: Int, cfg: ControllerConfig) {
-  import Controller.WindowEntry
+  import Controller.{ImbalanceTrigger, Phi, WindowEntry}
 
   private val window = mutable.ArrayDeque.empty[WindowEntry]
   private val rng = new Random(cfg.ils.seed)
@@ -112,11 +102,11 @@ final class Controller(k: Int, cfg: ControllerConfig) {
   def avgLocality: Double =
     if (window.isEmpty) 1.0 else window.iterator.map(_.locality).sum / window.size
 
-  /** The adaptivity trigger: locality below Φ, or workload imbalance beyond
-    * the trigger threshold (see [[ControllerConfig.imbalanceTrigger]]).
+  /** The adaptivity trigger: locality below [[Controller.Phi]], or workload
+    * imbalance beyond [[Controller.ImbalanceTrigger]].
     */
   def shouldRepartition: Boolean =
-    window.nonEmpty && (avgLocality < cfg.phi || lastImbalance > cfg.imbalanceTrigger)
+    window.nonEmpty && (avgLocality < Phi || lastImbalance > ImbalanceTrigger)
 
   /** Runs Q-cut over the window's scopes and returns the planned vertex
     * assignment. The ILS executes asynchronously to query processing in the
@@ -135,7 +125,7 @@ final class Controller(k: Int, cfg: ControllerConfig) {
       if (queryIds.length <= targetClusters) KargerClustering.identityClusters(queryIds.length)
       else KargerClustering.cluster(queryIds, KargerClustering.overlapsFromAtoms(atoms), targetClusters, rng)
     val state = QCutState.build(atoms, totalPerWorker, k, cfg.delta, clusterOfQuery)
-    val maxLoadBefore = (0 until k).map(state.load).max
+    val maxLoadBefore = state.maxLoad
     val incumbentCost = state.cost
     // Algorithm 2 operates on the balanced solution space; if the incumbent
     // partitioning violates the δ-constraint (e.g. Domain under a skewed
@@ -144,12 +134,27 @@ final class Controller(k: Int, cfg: ControllerConfig) {
     if (needsRebalance) Perturbation.rebalance(state, rng, preferSmall = true)
     val result = QCut.optimize(state, cfg.ils)
     val (newAssign, moved) = result.best.toVertexAssignment(assign)
-    val maxLoadAfter = (0 until k).map(result.best.load).max
+    val maxLoadAfter = result.best.maxLoad
     RepartitionOutcome(newAssign, moved, result, needsRebalance, incumbentCost,
       maxLoadBefore, maxLoadAfter)
   }
 }
 
 object Controller {
+
+  /** Locality threshold Φ: repartition when the average query locality
+    * drops below it (paper: 0.7).
+    */
+  val Phi = 0.7
+
+  /** Active-vertex workload imbalance above which the current partitioning
+    * also counts as "suboptimal" (Section 3.4 triggers on suboptimal
+    * partitionings; the Q-cut problem statement is *balanced* k-way
+    * partitioning, so a partitioning far outside the δ-constraint is
+    * repartitioned even when local — this is what lets Q-cut improve on
+    * Domain).
+    */
+  val ImbalanceTrigger = 0.5
+
   private final case class WindowEntry(qid: Int, endTime: Double, scope: Set[Int], locality: Double)
 }

@@ -131,8 +131,8 @@ object Traces {
   */
 object Experiments {
 
-  /** Controller settings mirroring Section 4.1: Φ=0.7, δ=0.25, 4k Karger
-    * clusters. The monitoring window is count-capped at 64 queries (the
+  /** Controller settings mirroring Section 4.1: δ=0.25, 4k Karger clusters
+    * (Φ=0.7 is `Controller.Phi`). The monitoring window is count-capped at 64 queries (the
     * paper's μ=240 s / ≤128 queries holds "a few dozen queries"; our
     * workload is 8x smaller than the paper's 2048, and a 4-batch horizon
     * keeps the stats as fresh as their tumbling μ does). The ILS stops
@@ -142,7 +142,7 @@ object Experiments {
     */
   def controllerConfig(ilsBudgetMs: Long = 60000): ControllerConfig =
     ControllerConfig(
-      phi = 0.7, muSimSeconds = 1e12, maxQueries = 64, delta = 0.25, clusterFactor = 4,
+      muSimSeconds = 1e12, maxQueries = 64, delta = 0.25, clusterFactor = 4,
       ils = IlsConfig(budgetMs = ilsBudgetMs, maxRounds = 60, seed = 17))
 
   /** The four partitioning strategies of Figs. 5-7. */

@@ -16,16 +16,43 @@ object Dijkstra {
   def distances(
       adj: Array[Array[(Int, Double)]],
       start: Int,
-      bound: Double = Double.PositiveInfinity): mutable.HashMap[Int, Double] = {
+      bound: Double = Double.PositiveInfinity): mutable.HashMap[Int, Double] =
+    search(adj, start, bound, _ => false)._1
+
+  /** Shortest-path distance start -> end, or None if unreachable. */
+  def shortestPath(adj: Array[Array[(Int, Double)]], start: Int, end: Int): Option[Double] =
+    search(adj, start, Double.PositiveInfinity, _ == end)._2.map(_._2)
+
+  /** Nearest vertex satisfying `tagged` (the POI query): returns
+    * `(vid, distance)` of the closest tagged vertex, ties broken by the
+    * smaller vertex id (matching the engine's deterministic tie-break).
+    */
+  def nearestTagged(
+      adj: Array[Array[(Int, Double)]],
+      start: Int,
+      tagged: Int => Boolean): Option[(Int, Double)] =
+    search(adj, start, Double.PositiveInfinity, tagged)._2
+
+  /** The one search: settles vertices in (distance, vid) order, relaxing
+    * only to distances `<= bound`, until the next vertex to settle satisfies
+    * `stop`. Returns the settled distances and the `(vid, distance)` it
+    * stopped at, if any.
+    */
+  private def search(
+      adj: Array[Array[(Int, Double)]],
+      start: Int,
+      bound: Double,
+      stop: Int => Boolean): (mutable.HashMap[Int, Double], Option[(Int, Double)]) = {
     val dist = mutable.HashMap.empty[Int, Double]
-    val settled = mutable.HashSet.empty[Int]
-    val pq = mutable.PriorityQueue.empty[(Double, Int)](Ordering.by[(Double, Int), Double](_._1).reverse)
+    val settled = mutable.HashMap.empty[Int, Double]
+    val pq = mutable.PriorityQueue.empty[(Double, Int)](Ordering[(Double, Int)].reverse)
     dist(start) = 0.0
     pq.enqueue((0.0, start))
     while (pq.nonEmpty) {
       val (d, v) = pq.dequeue()
       if (!settled.contains(v) && d <= bound) {
-        settled += v
+        if (stop(v)) return (settled, Some((v, d)))
+        settled(v) = d
         for ((u, w) <- adj(v)) {
           val nd = d + w
           if (nd < dist.getOrElse(u, Double.PositiveInfinity) && nd <= bound) {
@@ -35,62 +62,6 @@ object Dijkstra {
         }
       }
     }
-    dist.filterInPlace((v, _) => settled.contains(v))
-    dist
-  }
-
-  /** Shortest-path distance start -> end, or None if unreachable. */
-  def shortestPath(adj: Array[Array[(Int, Double)]], start: Int, end: Int): Option[Double] = {
-    val dist = mutable.HashMap.empty[Int, Double]
-    val settled = mutable.HashSet.empty[Int]
-    val pq = mutable.PriorityQueue.empty[(Double, Int)](Ordering.by[(Double, Int), Double](_._1).reverse)
-    dist(start) = 0.0
-    pq.enqueue((0.0, start))
-    while (pq.nonEmpty) {
-      val (d, v) = pq.dequeue()
-      if (v == end) return Some(d)
-      if (!settled.contains(v)) {
-        settled += v
-        for ((u, w) <- adj(v)) {
-          val nd = d + w
-          if (nd < dist.getOrElse(u, Double.PositiveInfinity)) {
-            dist(u) = nd
-            pq.enqueue((nd, u))
-          }
-        }
-      }
-    }
-    None
-  }
-
-  /** Nearest vertex satisfying `tagged` (the POI query): returns
-    * `(vid, distance)` of the closest tagged vertex, ties broken by the
-    * smaller vertex id (matching the engine's deterministic tie-break).
-    */
-  def nearestTagged(
-      adj: Array[Array[(Int, Double)]],
-      start: Int,
-      tagged: Int => Boolean): Option[(Int, Double)] = {
-    val dist = mutable.HashMap.empty[Int, Double]
-    val settled = mutable.HashSet.empty[Int]
-    val pq = mutable.PriorityQueue.empty[(Double, Int)](
-      Ordering.by[(Double, Int), (Double, Int)](t => (t._1, t._2)).reverse)
-    dist(start) = 0.0
-    pq.enqueue((0.0, start))
-    while (pq.nonEmpty) {
-      val (d, v) = pq.dequeue()
-      if (tagged(v)) return Some((v, d))
-      if (!settled.contains(v)) {
-        settled += v
-        for ((u, w) <- adj(v)) {
-          val nd = d + w
-          if (nd < dist.getOrElse(u, Double.PositiveInfinity)) {
-            dist(u) = nd
-            pq.enqueue((nd, u))
-          }
-        }
-      }
-    }
-    None
+    (settled, None)
   }
 }

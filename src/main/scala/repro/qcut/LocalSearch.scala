@@ -24,15 +24,14 @@ object LocalSearch {
   /** One candidate move: cluster `c` from worker `from` to worker `to`. */
   final case class Move(c: Int, from: Int, to: Int)
 
-  /** Runs the search in place on `s` until a local minimum (or `maxSteps`,
-    * or the `deadlineNanos` wall-clock deadline — the paper's ILS must
-    * "provide the best found solution when interrupted", Section 3.2.2).
-    * Returns the number of accepted moves.
+  /** Runs the search in place on `s` until a local minimum and returns the
+    * number of accepted moves. It never reads the clock: the ILS is
+    * interrupted only between rounds (see [[QCut.optimize]]).
     */
-  def run(s: QCutState, maxSteps: Int = 10000, deadlineNanos: Long = Long.MaxValue): Int = {
+  def run(s: QCutState): Int = {
     var steps = 0
     var improved = true
-    while (improved && steps < maxSteps && System.nanoTime() < deadlineNanos) {
+    while (improved) {
       improved = false
       bestSuccessor(s) match {
         case Some((move, movedCost)) if movedCost < s.cost =>

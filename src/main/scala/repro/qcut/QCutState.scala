@@ -49,7 +49,10 @@ final class QCutState private (
   def clusterScope(c: Int, w: Int): Long = clusterMass(c * k + w)
 
   /** The paper's workload L_w. */
-  def load(w: Int): Double = (vCount(w) + sCount(w)) / 2.0
+  def load(w: Int): Double = workload(vCount(w), sCount(w))
+
+  /** The largest workload over all workers. */
+  def maxLoad: Double = (0 until k).map(load).max
 
   /** Query-cut cost of the current assignment (Section 3.2.2). */
   def cost: Long = {
@@ -64,26 +67,20 @@ final class QCutState private (
     total
   }
 
-  /** Pairwise balance predicate of Appendix A.1. */
-  def balancedPair(w1: Int, w2: Int): Boolean = {
-    val a = load(w1); val b = load(w2)
-    val m = math.max(a, b)
-    m == 0 || math.abs(a - b) / m < delta
-  }
-
-  /** Global balance: all worker pairs satisfy the δ-constraint. */
+  /** Global balance: every worker pair satisfies the δ-constraint, which
+    * holds iff the least and the most loaded worker satisfy it.
+    */
   def globallyBalanced: Boolean = {
     var min = Double.MaxValue; var max = 0.0
     var w = 0
     while (w < k) { val l = load(w); if (l < min) min = l; if (l > max) max = l; w += 1 }
-    max == 0 || (max - min) / max < delta
+    balanced(min, max)
   }
 
-  /** Atoms on `from` whose signature intersects cluster `c`, ascending. */
-  def clusterAtomsOn(c: Int, from: Int): Vector[Int] = atomsOn(c, from).toVector
-
-  /** [[clusterAtomsOn]] as an array: scans only cluster `c`'s atoms. */
-  private[qcut] def atomsOn(c: Int, from: Int): Array[Int] = index.clusterAtoms(c).filter(assign(_) == from)
+  /** Atoms on `from` whose signature intersects cluster `c`, ascending;
+    * scans only cluster `c`'s atoms.
+    */
+  def atomsOn(c: Int, from: Int): Array[Int] = index.clusterAtoms(c).filter(assign(_) == from)
 
   /** Query indices of atom `i`'s signature, ascending. */
   private[qcut] def atomQueries(i: Int): Array[Int] = index.atomQueries(i)
@@ -107,11 +104,16 @@ final class QCutState private (
   /** The predicate of [[moveKeepsPairBalanced]] for a move of `dV` vertices
     * carrying `dS` scope multiplicity from `from` to `to`.
     */
-  private[qcut] def pairBalancedAfter(from: Int, to: Int, dV: Long, dS: Long): Boolean = {
-    val newFrom = (vCount(from) - dV + sCount(from) - dS) / 2.0
-    val newTo = (vCount(to) + dV + sCount(to) + dS) / 2.0
-    val m = math.max(newFrom, newTo)
-    m == 0 || math.abs(newFrom - newTo) / m < delta
+  private[qcut] def pairBalancedAfter(from: Int, to: Int, dV: Long, dS: Long): Boolean =
+    balanced(workload(vCount(from) - dV, sCount(from) - dS), workload(vCount(to) + dV, sCount(to) + dS))
+
+  /** L_w = (|V(w)| + Σ_q |LS(q,w)|) / 2 from its two counts (Appendix A.1). */
+  private def workload(v: Long, s: Long): Double = (v + s) / 2.0
+
+  /** The δ-constraint of Appendix A.1 on two workloads: |a − b| / max(a, b) < δ. */
+  private def balanced(a: Double, b: Double): Boolean = {
+    val m = math.max(a, b)
+    m == 0 || math.abs(a - b) / m < delta
   }
 
   /** Moves the given atoms to `to`; atoms already there stay. Moving them

@@ -131,10 +131,10 @@ object Oracle {
       .groupBy(col("qid"), col("worker"))
       .agg(count(lit(1)).as("scope_size"))
 
-  /** `QCutState.clusterAtomsOn` by its definition: every atom on `from`
-    * whose signature holds a query of cluster `c`, ascending.
+  /** `QCutState.atomsOn` by its definition: every atom on `from` whose
+    * signature holds a query of cluster `c`, ascending.
     */
-  def clusterAtomsOn(s: QCutState, c: Int, from: Int): Vector[Int] =
+  def atomsOn(s: QCutState, c: Int, from: Int): Vector[Int] =
     s.atoms.indices.filter { i =>
       s.assign(i) == from && s.atoms(i).sig.exists(q => s.clusterOfQuery(s.queryIds.indexOf(q)) == c)
     }.toVector
@@ -145,7 +145,7 @@ object Oracle {
   def bestSuccessor(s: QCutState): Option[(LocalSearch.Move, Long)] = {
     var best: Option[(LocalSearch.Move, Long)] = None
     for (c <- 0 until s.nClusters; from <- 0 until s.k if s.clusterScope(c, from) > 0) {
-      val idxs = clusterAtomsOn(s, c, from)
+      val idxs = atomsOn(s, c, from)
       for (to <- 0 until s.k if to != from && s.moveKeepsPairBalanced(idxs, to)) {
         s.moveAtoms(idxs, to)
         val cost = s.cost

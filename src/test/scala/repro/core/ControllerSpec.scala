@@ -25,7 +25,7 @@ class ControllerSpec extends AnyFunSuite {
   }
 
   private def cfg(mu: Double = 1000.0, maxQ: Int = 128) = ControllerConfig(
-    phi = 0.7, muSimSeconds = mu, maxQueries = maxQ, delta = 0.9,
+    muSimSeconds = mu, maxQueries = maxQ, delta = 0.9,
     ils = IlsConfig(budgetMs = 500, maxRounds = 30, seed = 1))
 
   private val nVerts = 100

@@ -13,7 +13,7 @@ class QGraphRunnerSpec extends SparkSpec {
   private lazy val traces = TestFixtures.smallSsspTraces
 
   private def ctrl = ControllerConfig(
-    phi = 0.7, muSimSeconds = 1e9, maxQueries = 128, delta = 0.25,
+    muSimSeconds = 1e9, maxQueries = 128, delta = 0.25,
     ils = IlsConfig(budgetMs = 1500, maxRounds = 40, seed = 2))
 
   private def cfg(name: String, adaptive: Boolean, barrier: BarrierMode = BarrierMode.Hybrid) =

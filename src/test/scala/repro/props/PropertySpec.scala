@@ -108,7 +108,10 @@ class PropertySpec extends AnyFunSuite {
 
   /** A Q-cut state over random scopes on k in [2, 16] workers, with a
     * tight or loose δ, identity or Karger clusters, after a few random
-    * cluster moves.
+    * cluster moves. Half the time δ is the initial state's exact
+    * (max − min) / max load ratio, so the strict `<` of the δ-constraint is
+    * tested at its boundary whenever the moves leave the extremes as they
+    * were.
     */
   private val genQCutState: Gen[QCutState] = for {
     k <- Gen.choose(2, 16)
@@ -117,6 +120,7 @@ class PropertySpec extends AnyFunSuite {
     scopes <- Gen.sequence[List[(Int, Set[Int])], (Int, Set[Int])](
       (0 until nQ).map(q => Gen.nonEmptyContainerOf[Set, Int](Gen.choose(0, nV - 1)).map(s => (3 * q + 1) -> s)))
     delta <- Gen.oneOf(0.02, 0.1, 0.25, 0.5, 10.0)
+    atBoundary <- Gen.oneOf(false, true)
     karger <- Gen.oneOf(false, true)
     nMoves <- Gen.choose(0, 8)
     seed <- Gen.choose(0L, Long.MaxValue)
@@ -130,7 +134,9 @@ class PropertySpec extends AnyFunSuite {
     val clusters =
       if (karger) KargerClustering.cluster(qids, KargerClustering.overlapsFromAtoms(atoms), 1 + rng.nextInt(qids.size), rng)
       else KargerClustering.identityClusters(qids.size)
-    val s = QCutState.build(atoms, totals, k, delta, clusters)
+    val s0 = QCutState.build(atoms, totals, k, delta, clusters)
+    val loads = (0 until k).map(s0.load)
+    val s = if (atBoundary) QCutState.build(atoms, totals, k, (loads.max - loads.min) / loads.max, clusters) else s0
     for (_ <- 0 until nMoves) {
       val c = rng.nextInt(s.nClusters)
       val from = rng.nextInt(k)
@@ -147,7 +153,7 @@ class PropertySpec extends AnyFunSuite {
       while (ok && continue && steps < 200) {
         val best = LocalSearch.bestSuccessor(s)
         ok = best == Oracle.bestSuccessor(s) &&
-          (0 until s.nClusters).forall(c => (0 until s.k).forall(w => s.clusterAtomsOn(c, w) == Oracle.clusterAtomsOn(s, c, w)))
+          (0 until s.nClusters).forall(c => (0 until s.k).forall(w => s.atomsOn(c, w).toVector == Oracle.atomsOn(s, c, w)))
         best match {
           case Some((m, cost)) if ok && cost < s.cost =>
             s.moveCluster(m.c, m.from, m.to)
@@ -157,6 +163,22 @@ class PropertySpec extends AnyFunSuite {
         }
       }
       ok
+    }, minTests = 200)
+  }
+
+  test("property: globallyBalanced is the δ-constraint on every worker pair, before and after moves") {
+    def everyPair(s: QCutState): Boolean =
+      (0 until s.k).forall(w => (0 until s.k).forall { w2 =>
+        val a = s.load(w); val b = s.load(w2); val m = math.max(a, b)
+        m == 0 || math.abs(a - b) / m < s.delta
+      })
+    check(Prop.forAll(genQCutState, Gen.listOf(Gen.zip(Gen.choose(0, 1000), Gen.choose(0, 1000), Gen.choose(1, 1000)))) {
+      (s, moves) =>
+        s.globallyBalanced == everyPair(s) && moves.forall { case (c, f, shift) =>
+          val from = f % s.k
+          s.moveCluster(c % s.nClusters, from, (from + 1 + shift % (s.k - 1)) % s.k)
+          s.globallyBalanced == everyPair(s)
+        }
     }, minTests = 200)
   }
 

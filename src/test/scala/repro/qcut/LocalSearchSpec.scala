@@ -65,13 +65,6 @@ class LocalSearchSpec extends AnyFunSuite {
     assert(s.globallyBalanced)
   }
 
-  test("maxSteps caps the search") {
-    val s = splitState()
-    val steps = LocalSearch.run(s, maxSteps = 1)
-    assert(steps === 1)
-    assert(s.cost > 0L)
-  }
-
   test("successors exclude the source worker itself") {
     val s = splitState()
     LocalSearch.bestSuccessor(s).foreach { case (m, _) => assert(m.from !== m.to) }

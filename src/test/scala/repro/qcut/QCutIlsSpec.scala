@@ -45,6 +45,15 @@ class QCutIlsSpec extends AnyFunSuite {
     assert(!r.history.head.afterPerturbation)
   }
 
+  test("a budget shorter than one descent still returns the first local minimum") {
+    val r = QCut.optimize(instance(), IlsConfig(budgetMs = 0, maxRounds = 50, seed = 3))
+    val s = instance().copyState()
+    LocalSearch.run(s)
+    assert(r.history.size === 1)
+    assert(r.bestCost === s.cost)
+    assert(r.bestCost < r.initialCost)
+  }
+
   test("deterministic under a fixed seed and maxRounds") {
     def go(seed: Long) =
       QCut.optimize(instance(), IlsConfig(budgetMs = 100000, maxRounds = 20, seed = seed))

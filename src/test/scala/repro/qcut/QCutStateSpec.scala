@@ -84,25 +84,35 @@ class QCutStateSpec extends AnyFunSuite {
 
   test("balance predicate follows the delta threshold") {
     val tight = mkState(delta = 0.05)
-    // loads 4.5 vs 4.0: |diff|/max = 0.111 >= 0.05 -> unbalanced
-    assert(!tight.balancedPair(0, 1))
+    // loads 4.5 vs 4.0: |diff|/max = 0.111 >= 0.05 -> unbalanced; with
+    // k = 2 the global test is the test of the one pair
     assert(!tight.globallyBalanced)
     val loose = mkState(delta = 0.2)
-    assert(loose.balancedPair(0, 1))
     assert(loose.globallyBalanced)
+  }
+
+  test("the delta-constraint is strict at its boundary") {
+    // loads 4.5 vs 4.0; delta equal to their ratio is not inside it
+    assert(!mkState(delta = (4.5 - 4.0) / 4.5).globallyBalanced)
+    assert(mkState(delta = math.nextUp((4.5 - 4.0) / 4.5)).globallyBalanced)
+    // moving a1 (cluster 0 on w1) to w0 gives loads 5.5 vs 3.0
+    val atRatio = mkState(delta = (5.5 - 3.0) / 5.5)
+    assert(!atRatio.moveKeepsPairBalanced(atRatio.atomsOn(0, 1).toVector, 0))
+    val above = mkState(delta = math.nextUp((5.5 - 3.0) / 5.5))
+    assert(above.moveKeepsPairBalanced(above.atomsOn(0, 1).toVector, 0))
   }
 
   test("moveKeepsPairBalanced uses exact post-move workloads") {
     val s = mkState(delta = 0.3)
     // moving a0+a3 (cluster 0 on w0) to w1: w0 loses V=3,S=4 -> (2+0)/2=1;
     // w1 gains -> (8+7)/2=7.5; 6.5/7.5 = 0.867 >= 0.3 -> unbalanced
-    val idxs = s.clusterAtomsOn(0, 0)
+    val idxs = s.atomsOn(0, 0).toVector
     assert(!s.moveKeepsPairBalanced(idxs, 1))
     // moving just a1 (cluster 0 on w1) to w0: w1 -> (4+2)/2=3, w0 -> (6+5)/2=5.5
     // 2.5/5.5 = 0.455 >= 0.3 -> still unbalanced under tight delta
-    assert(!s.moveKeepsPairBalanced(s.clusterAtomsOn(0, 1), 0))
+    assert(!s.moveKeepsPairBalanced(s.atomsOn(0, 1).toVector, 0))
     val loose = mkState(delta = 0.5)
-    assert(loose.moveKeepsPairBalanced(loose.clusterAtomsOn(0, 1), 0))
+    assert(loose.moveKeepsPairBalanced(loose.atomsOn(0, 1).toVector, 0))
   }
 
   test("toVertexAssignment applies only moved atoms") {
