@@ -83,7 +83,7 @@ final class Controller(k: Int, cfg: ControllerConfig) {
     */
   def observeBatch(trace: BatchTrace, stats: BatchStats, now: Double): Unit = {
     val locality = Metrics.queryLocality(stats)
-    val scopes = trace.globalScopes
+    val scopes = trace.globalScopeArrays
     for (q <- trace.queries)
       window.append(WindowEntry(q.qid, now, scopes(q.qid), locality.getOrElse(q.qid, 1.0)))
     while (window.nonEmpty && window.head.endTime < now - cfg.muSimSeconds) window.removeHead()
@@ -114,9 +114,7 @@ final class Controller(k: Int, cfg: ControllerConfig) {
     * scope moves to the simulated clock — not the ILS runtime.
     */
   def repartition(assign: Array[Int]): RepartitionOutcome = {
-    val scopes: Map[Int, Set[Int]] =
-      window.iterator.map(e => e.qid -> e.scope).toMap
-    val atoms = ScopeAtoms.build(scopes, assign)
+    val atoms = ScopeAtoms.fromArrays(window.iterator.map(e => e.qid -> e.scope).toMap, assign)
     val totalPerWorker = Array.fill(k)(0L)
     for (w <- assign) totalPerWorker(w) += 1L
     val queryIds = atoms.flatMap(_.sig).distinct.sorted
@@ -156,5 +154,6 @@ object Controller {
     */
   val ImbalanceTrigger = 0.5
 
-  private final case class WindowEntry(qid: Int, endTime: Double, scope: Set[Int], locality: Double)
+  /** One query in the monitoring window; `scope` is its GS(q), sorted and distinct. */
+  private final case class WindowEntry(qid: Int, endTime: Double, scope: Array[Int], locality: Double)
 }

@@ -85,23 +85,24 @@ final class BatchTrace(
   }
 
   /** [[globalScope]] of every query of the batch (and of any other qid
-    * with activations), in one pass over the activation columns.
+    * with activations) as a sorted, distinct vertex array, from one pass
+    * over the activation columns.
     */
-  def globalScopes: Map[Int, Set[Int]] = {
-    val builders = mutable.HashMap.empty[Int, mutable.Builder[Int, Set[Int]]]
-    for (q <- queries) builders(q.qid) = Set.newBuilder[Int]
+  def globalScopeArrays: Map[Int, Array[Int]] = {
+    val builders = mutable.HashMap.empty[Int, mutable.ArrayBuilder.ofInt]
+    for (q <- queries) builders(q.qid) = new mutable.ArrayBuilder.ofInt
     var lastQid = 0
-    var last: mutable.Builder[Int, Set[Int]] = null
+    var last: mutable.ArrayBuilder.ofInt = null
     var i = 0
     while (i < actQid.length) {
       if (last == null || actQid(i) != lastQid) {
         lastQid = actQid(i)
-        last = builders.getOrElseUpdate(lastQid, Set.newBuilder[Int])
+        last = builders.getOrElseUpdate(lastQid, new mutable.ArrayBuilder.ofInt)
       }
       last += actVid(i)
       i += 1
     }
-    builders.iterator.map { case (q, b) => q -> b.result() }.toMap
+    builders.iterator.map { case (q, b) => q -> BatchTrace.sortedDistinct(b.result()) }.toMap
   }
 
   private def columns: Seq[AnyRef] =
@@ -128,6 +129,18 @@ object BatchTrace {
     * part of every trace-cache key, so bumping it retires old cache files.
     */
   val Format: Int = 1
+
+  /** `xs` sorted, without repeats; sorts `xs` in place. */
+  private def sortedDistinct(xs: Array[Int]): Array[Int] = {
+    java.util.Arrays.sort(xs)
+    var n = 0
+    var i = 0
+    while (i < xs.length) {
+      if (n == 0 || xs(i) != xs(n - 1)) { xs(n) = xs(i); n += 1 }
+      i += 1
+    }
+    if (n == xs.length) xs else java.util.Arrays.copyOf(xs, n)
+  }
 
   /** Builds a trace from records, e.g. a hand-written one in a test. */
   def apply(

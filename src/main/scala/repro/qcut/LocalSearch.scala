@@ -18,6 +18,12 @@ package repro.qcut
   * scan order (cluster, then source, then destination worker) and the strict
   * `<` tie-break are those of evaluating every successor in full: the first
   * cheapest successor in that order wins.
+  *
+  * The scan visits each cluster's atoms once: a counting sort by worker
+  * groups them into one reused buffer, so the atoms of every (cluster,
+  * source) move are a slice of it, ascending. Each query the move touches is
+  * then read once, and its row of local scopes adds its part to the cost of
+  * every destination.
   */
 object LocalSearch {
 
@@ -35,7 +41,7 @@ object LocalSearch {
       improved = false
       bestSuccessor(s) match {
         case Some((move, movedCost)) if movedCost < s.cost =>
-          s.moveCluster(move.c, move.from, move.to)
+          s.relocateCluster(move.c, move.from, move.to)
           improved = true
           steps += 1
         case _ => ()
@@ -73,50 +79,76 @@ object LocalSearch {
     val seen = new Array[Int](nQ)
     val touched = new Array[Int](nQ)
     var stamp = 0
+    // Cluster c's atoms grouped by worker: those on w are
+    // bucket(bucketStart(w) until bucketStart(w + 1)), ascending.
+    val ix = s.index
+    val bucketStart = new Array[Int](k + 1)
+    val cursor = new Array[Int](k)
+    val bucket = new Array[Int](ix.maxClusterAtoms)
+    // Per destination: Σ_q max(0, |LS(q,to)| + m − base) of the current move.
+    val raised = new Array[Long](k)
     var bestMove: Move = null
     var bestCost = 0L
     var c = 0
     while (c < s.nClusters) {
+      val a0 = ix.clusterAtomStart(c); val a1 = ix.clusterAtomStart(c + 1)
+      java.util.Arrays.fill(bucketStart, 0)
+      var j = a0
+      while (j < a1) { bucketStart(s.assign(ix.clusterAtom(j)) + 1) += 1; j += 1 }
+      var w = 0
+      while (w < k) { bucketStart(w + 1) += bucketStart(w); cursor(w) = bucketStart(w); w += 1 }
+      j = a0
+      while (j < a1) {
+        val i = ix.clusterAtom(j); val on = s.assign(i)
+        bucket(cursor(on)) = i; cursor(on) += 1; j += 1
+      }
       var from = 0
       while (from < k) {
         if (s.clusterScope(c, from) > 0) {
           // The moved atoms, their mass per query and dV/dS are the same for
           // every destination; compute them once.
-          val idxs = s.atomsOn(c, from)
           stamp += 1
           var nTouched = 0
           var dV = 0L; var dS = 0L
-          var j = 0
-          while (j < idxs.length) {
-            val i = idxs(j)
-            val sz = s.atoms(i).size.toLong
-            val qs = s.atomQueries(i)
-            dV += sz; dS += sz * qs.length
-            var t = 0
-            while (t < qs.length) {
-              val q = qs(t)
+          var b = bucketStart(from)
+          while (b < bucketStart(from + 1)) {
+            val i = bucket(b)
+            val sz = ix.atomSize(i)
+            dV += sz; dS += sz * ix.nQueriesOf(i)
+            var t = ix.atomQueryStart(i)
+            while (t < ix.atomQueryStart(i + 1)) {
+              val q = ix.atomQuery(t)
               if (seen(q) != stamp) { seen(q) = stamp; mass(q) = 0L; touched(nTouched) = q; nTouched += 1 }
               mass(q) += sz
               t += 1
             }
-            j += 1
+            b += 1
+          }
+          // Only `from` loses scope, so a query's new max is `base`, the
+          // larger of its new scope on `from` and its old max over the other
+          // workers, raised to its new scope on `to`: the move to `to` costs
+          // cost0 + Σ_q (top1 − base) − Σ_q max(0, |LS(q,to)| + m − base).
+          var kept = 0L
+          java.util.Arrays.fill(raised, 0L)
+          var t = 0
+          while (t < nTouched) {
+            val q = touched(t)
+            val m = mass(q)
+            val maxOffFrom = if (top1w(q) != from) top1(q) else top2(q)
+            val base = math.max(maxOffFrom, s.localScope(q, from) - m)
+            kept += top1(q) - base
+            var to = 0
+            while (to < k) {
+              val x = s.localScope(q, to) + m - base
+              if (x > 0) raised(to) += x
+              to += 1
+            }
+            t += 1
           }
           var to = 0
           while (to < k) {
             if (to != from && s.pairBalancedAfter(from, to, dV, dS)) {
-              var cost = cost0
-              var t = 0
-              while (t < nTouched) {
-                val q = touched(t)
-                val m = mass(q)
-                // Only `from` loses scope, so the new max is the larger of
-                // the new scope on `from` and the old max over the other
-                // workers, raised to the new scope on `to`.
-                val maxOffFrom = if (top1w(q) != from) top1(q) else top2(q)
-                val newMax = math.max(math.max(maxOffFrom, s.localScope(q, to) + m), s.localScope(q, from) - m)
-                cost += top1(q) - newMax
-                t += 1
-              }
+              val cost = cost0 + kept - raised(to)
               if (bestMove == null || cost < bestCost) { bestMove = Move(c, from, to); bestCost = cost }
             }
             to += 1

@@ -20,8 +20,9 @@ package repro.qcut
   * strictly more faithful to the workload definition. The δ-threshold form
   * of the predicate is the paper's.
   *
-  * The window's atom indices (query indices and clusters per atom, atoms per
-  * cluster) are built once by [[QCutState.build]] and shared by every
+  * The window's atom indices (the size of each atom, the query indices and
+  * clusters of each atom, the atoms of each cluster) are flat primitive
+  * columns, built once by [[QCutState.build]] and shared by every
   * [[copyState]]; only the assignment and the per-worker counts are copied.
   */
 final class QCutState private (
@@ -32,7 +33,7 @@ final class QCutState private (
     val k: Int,
     val delta: Double,
     val assign: Array[Int],
-    private val index: QCutState.Index,
+    private[qcut] val index: QCutState.Index,
     // caches, all owned by this instance; per-(query, worker) and
     // per-(cluster, worker) counts are flat, row-major with stride k:
     private val ls: Array[Long],
@@ -80,10 +81,9 @@ final class QCutState private (
   /** Atoms on `from` whose signature intersects cluster `c`, ascending;
     * scans only cluster `c`'s atoms.
     */
-  def atomsOn(c: Int, from: Int): Array[Int] = index.clusterAtoms(c).filter(assign(_) == from)
-
-  /** Query indices of atom `i`'s signature, ascending. */
-  private[qcut] def atomQueries(i: Int): Array[Int] = index.atomQueries(i)
+  def atomsOn(c: Int, from: Int): Array[Int] =
+    java.util.Arrays.copyOfRange(index.clusterAtom, index.clusterAtomStart(c), index.clusterAtomStart(c + 1))
+      .filter(assign(_) == from)
 
   /** Would moving `atomIdxs` from their (common) worker to `to` keep the
     * moved-pair balanced? Returns the predicate of Algorithm 2 line 15 with
@@ -95,8 +95,8 @@ final class QCutState private (
     var dV = 0L; var dS = 0L
     for (i <- atomIdxs) {
       require(assign(i) == from, "atoms of one move must share a worker")
-      dV += atoms(i).size
-      dS += atoms(i).size.toLong * atoms(i).sig.length
+      dV += index.atomSize(i)
+      dS += index.atomSize(i) * index.nQueriesOf(i)
     }
     pairBalancedAfter(from, to, dV, dS)
   }
@@ -124,16 +124,20 @@ final class QCutState private (
   private def moveAtom(i: Int, to: Int): Unit = {
     val from = assign(i)
     if (from != to) {
-      val sz = atoms(i).size.toLong
-      val qs = index.atomQueries(i)
+      val ix = index
+      val sz = ix.atomSize(i)
       assign(i) = to
       vCount(from) -= sz; vCount(to) += sz
-      sCount(from) -= sz * qs.length; sCount(to) += sz * qs.length
-      var j = 0
-      while (j < qs.length) { val row = qs(j) * k; ls(row + from) -= sz; ls(row + to) += sz; j += 1 }
-      val cs = index.atomClusters(i)
-      j = 0
-      while (j < cs.length) { val row = cs(j) * k; clusterMass(row + from) -= sz; clusterMass(row + to) += sz; j += 1 }
+      val dS = sz * ix.nQueriesOf(i)
+      sCount(from) -= dS; sCount(to) += dS
+      var j = ix.atomQueryStart(i)
+      while (j < ix.atomQueryStart(i + 1)) {
+        val row = ix.atomQuery(j) * k; ls(row + from) -= sz; ls(row + to) += sz; j += 1
+      }
+      j = ix.atomClusterStart(i)
+      while (j < ix.atomClusterStart(i + 1)) {
+        val row = ix.atomCluster(j) * k; clusterMass(row + from) -= sz; clusterMass(row + to) += sz; j += 1
+      }
     }
   }
 
@@ -142,9 +146,20 @@ final class QCutState private (
     */
   def moveCluster(c: Int, from: Int, to: Int): Vector[Int] = {
     val idxs = atomsOn(c, from)
-    idxs.foreach(moveAtom(_, to))
+    relocateCluster(c, from, to)
     idxs.toVector
   }
+
+  /** [[moveCluster]] without collecting the moved atoms. */
+  private[qcut] def relocateCluster(c: Int, from: Int, to: Int): Unit =
+    if (from != to) {
+      var j = index.clusterAtomStart(c)
+      while (j < index.clusterAtomStart(c + 1)) {
+        val i = index.clusterAtom(j)
+        if (assign(i) == from) moveAtom(i, to)
+        j += 1
+      }
+    }
 
   /** Deep copy (atoms and indices are shared, caches are cloned). */
   def copyState(): QCutState =
@@ -170,16 +185,37 @@ final class QCutState private (
 
 object QCutState {
 
-  /** Read-only indices of one window's atoms, shared by all copies.
+  /** Read-only indices of one window's atoms, shared by all copies. Each
+    * relation is a flat array of rows with row `r` at
+    * `xs(xsStart(r) until xsStart(r + 1))`, ascending:
     *
-    * @param atomQueries  per atom: query indices of its signature, ascending
-    * @param atomClusters per atom: distinct clusters its signature intersects, ascending
-    * @param clusterAtoms per cluster: atoms whose signature intersects it, ascending
+    * @param atomSize      per atom: its vertex count
+    * @param atomQuery     per atom: query indices of its signature
+    * @param atomCluster   per atom: distinct clusters its signature intersects
+    * @param clusterAtom   per cluster: atoms whose signature intersects it
     */
   private[qcut] final class Index(
-      val atomQueries: Array[Array[Int]],
-      val atomClusters: Array[Array[Int]],
-      val clusterAtoms: Array[Array[Int]])
+      val atomSize: Array[Long],
+      val atomQueryStart: Array[Int],
+      val atomQuery: Array[Int],
+      val atomClusterStart: Array[Int],
+      val atomCluster: Array[Int],
+      val clusterAtomStart: Array[Int],
+      val clusterAtom: Array[Int]) {
+    /** |sig| of atom `i`. */
+    def nQueriesOf(i: Int): Int = atomQueryStart(i + 1) - atomQueryStart(i)
+
+    /** The most atoms any one cluster has. */
+    val maxClusterAtoms: Int =
+      (0 until clusterAtomStart.length - 1).foldLeft(0)((m, c) => math.max(m, clusterAtomStart(c + 1) - clusterAtomStart(c)))
+  }
+
+  /** `rows` as (row starts, flat items). */
+  private def flat(rows: Array[Array[Int]]): (Array[Int], Array[Int]) = {
+    val start = new Array[Int](rows.length + 1)
+    for (r <- rows.indices) start(r + 1) = start(r) + rows(r).length
+    (start, rows.flatten)
+  }
 
   /** Builds the initial ILS state ("as received by the workers",
     * Appendix A.3) from atoms and the per-worker total vertex counts.
@@ -219,7 +255,11 @@ object QCutState {
       for (c <- atomClusters(i)) clusterMass(c * k + a.worker) += sz
     }
     require((0 until k).forall(w => totalPerWorker(w) >= vTouched(w)), "totalPerWorker smaller than touched vertices")
+    val (aqStart, aq) = flat(atomQueries)
+    val (acStart, ac) = flat(atomClusters)
+    val (caStart, ca) = flat(clusterAtoms)
+    val index = new Index(atoms.iterator.map(_.size.toLong).toArray, aqStart, aq, acStart, ac, caStart, ca)
     new QCutState(atoms, queryIds.toIndexedSeq, clusterOfQuery, nClusters, k, delta, atoms.map(_.worker).toArray,
-      new Index(atomQueries, atomClusters, clusterAtoms), ls, clusterMass, totalPerWorker.clone(), sCount)
+      index, ls, clusterMass, totalPerWorker.clone(), sCount)
   }
 }

@@ -23,36 +23,51 @@ final case class Atom(sig: Vector[Int], worker: Int, vids: Array[Int]) {
 
 object ScopeAtoms {
 
-  /** Builds atoms from per-query global scopes under the given assignment,
-    * ordered by (`sig.mkString(",")`, worker); each atom's vertices ascend.
+  /** [[fromArrays]] over scopes given as sets. */
+  def build(scopes: Map[Int, Set[Int]], assign: Int => Int): Vector[Atom] =
+    fromArrays(scopes.map { case (q, scope) => q -> scope.toArray.sorted }, assign)
+
+  /** Builds atoms from per-query global scopes, each a sorted, distinct
+    * vertex array, under the given assignment, ordered by
+    * (`sig.mkString(",")`, worker); each atom's vertices ascend.
     *
     * Vertices are grouped by (signature, worker) over dense per-vertex
     * arrays indexed by vertex id: a vertex's signature is its slice of one
     * flat array of query ids, filled in ascending qid order.
     */
-  def build(scopes: Map[Int, Set[Int]], assign: Int => Int): Vector[Atom] = {
+  def fromArrays(scopes: Map[Int, Array[Int]], assign: Int => Int): Vector[Atom] = {
     val qids = scopes.keys.toArray.sorted
+    val scopeOf = qids.map(scopes)
     var nVertices = 0
-    for (scope <- scopes.valuesIterator; u <- scope) {
-      require(u >= 0, s"negative vertex id $u")
-      if (u >= nVertices) nVertices = u + 1
+    for (scope <- scopeOf if scope.nonEmpty) {
+      require(scope(0) >= 0, s"negative vertex id ${scope(0)}")
+      var j = 1
+      while (j < scope.length) { require(scope(j) > scope(j - 1), "a scope must be sorted and distinct"); j += 1 }
+      nVertices = math.max(nVertices, scope.last + 1)
     }
     // Per vertex: its signature as sigQ(sigStart(v) until sigStart(v + 1)).
     val sigStart = new Array[Int](nVertices + 1)
-    for (scope <- scopes.valuesIterator; u <- scope) sigStart(u + 1) += 1
+    for (scope <- scopeOf) { var j = 0; while (j < scope.length) { sigStart(scope(j) + 1) += 1; j += 1 } }
+    var nTouched = 0
     var v = 0
-    while (v < nVertices) { sigStart(v + 1) += sigStart(v); v += 1 }
+    while (v < nVertices) { if (sigStart(v + 1) > 0) nTouched += 1; sigStart(v + 1) += sigStart(v); v += 1 }
     val sigQ = new Array[Int](sigStart(nVertices))
     val fill = java.util.Arrays.copyOf(sigStart, nVertices)
-    for (q <- qids; u <- scopes(q)) { sigQ(fill(u)) = q; fill(u) += 1 }
+    for (qi <- qids.indices) {
+      val scope = scopeOf(qi)
+      var j = 0
+      while (j < scope.length) { val u = scope(j); sigQ(fill(u)) = qids(qi); fill(u) += 1; j += 1 }
+    }
 
     // Group touched vertices by (signature, worker) in an open-addressing
-    // table of group representatives; vertices are visited in ascending id.
+    // table of group representatives, at most one per touched vertex, so
+    // the table stays at most half full; vertices are visited in ascending id.
     val worker = new Array[Int](nVertices)
     val groupOf = new Array[Int](nVertices)
     val reps = Array.newBuilder[Int]
     var nGroups = 0
-    val table = Array.fill(Integer.highestOneBit(math.max(1, sigQ.length)) * 4)(-1)
+    val table = new Array[Int](Integer.highestOneBit(math.max(1, nTouched)) * 4)
+    java.util.Arrays.fill(table, -1)
     val mask = table.length - 1
     def sameKey(a: Int, b: Int): Boolean =
       worker(a) == worker(b) &&
@@ -80,17 +95,4 @@ object ScopeAtoms {
     }.toVector
     atoms.map(a => (a.sig.mkString(","), a.worker, a)).sortBy(t => (t._1, t._2)).map(_._3)
   }
-
-  /** Local query scope size |LS(q, w)| from atoms. */
-  def localScopeSize(atoms: Seq[Atom], qid: Int, worker: Int): Long =
-    atoms.iterator.filter(a => a.worker == worker && a.sig.contains(qid)).map(_.size.toLong).sum
-
-  /** The paper's intersection function I_w(S): number of vertices on worker
-    * `w` shared by every query in `S` (Section 3.4's example:
-    * I_w({q1,q2,q3}) = 3 when the three queries share three vertices on w).
-    */
-  def intersection(atoms: Seq[Atom], worker: Int, qset: Set[Int]): Long =
-    atoms.iterator
-      .filter(a => a.worker == worker && qset.subsetOf(a.sig.toSet))
-      .map(_.size.toLong).sum
 }

@@ -6,6 +6,7 @@ import org.apache.spark.sql.functions._
 import repro.engine.BatchTrace
 import repro.graph.RoadNetwork
 import repro.qcut.{Atom, LocalSearch, QCutState}
+import scala.util.Random
 import repro.sim.{BatchSim, BatchStats, CostModel, QueryIterStat}
 import repro.sync.BarrierMode
 import scala.collection.mutable
@@ -24,10 +25,11 @@ import scala.collection.mutable
   * Further members are DataFrame twins of driver-side structures: the
   * Spark inputs of the oracle checks, and Spark re-implementations of the
   * per-worker aggregations the tests cross-check. The last ones are the
-  * Q-cut definitions the incremental search must agree with, and the
-  * paper's query-cut metric and ILS cost evaluated directly on a trace.
-  * The last is the latency simulator as written before its flat-array
-  * kernel.
+  * Q-cut definitions the incremental search must agree with (among them
+  * the paper's |LS(q, w)| and I_w, and the perturbation as written before
+  * its primitive loops), and the paper's query-cut metric and ILS cost
+  * evaluated directly on a trace. The last is the latency simulator as
+  * written before its flat-array kernel.
   */
 object Oracle {
 
@@ -165,6 +167,61 @@ object Oracle {
     sigOf.toVector.groupBy { case (v, sig) => (sig, assign(v)) }.toVector
       .sortBy { case ((sig, w), _) => (sig.mkString(","), w) }
       .map { case ((sig, w), vs) => Atom(sig, w, vs.map(_._1).sorted.toArray) }
+  }
+
+  /** Local query scope size |LS(q, w)| from atoms. */
+  def localScopeSize(atoms: Seq[Atom], qid: Int, worker: Int): Long =
+    atoms.iterator.filter(a => a.worker == worker && a.sig.contains(qid)).map(_.size.toLong).sum
+
+  /** The paper's intersection function I_w(S): number of vertices on worker
+    * `w` shared by every query in `S` (Section 3.4's example:
+    * I_w({q1,q2,q3}) = 3 when the three queries share three vertices on w).
+    */
+  def intersection(atoms: Seq[Atom], worker: Int, qset: Set[Int]): Long =
+    atoms.iterator
+      .filter(a => a.worker == worker && qset.subsetOf(a.sig.toSet))
+      .map(_.size.toLong).sum
+
+  /** `Perturbation.run` as written before its primitive loops: the spread
+    * clusters and the merge target by `filter` and `maxBy`, the merge and the
+    * repair by `moveCluster`.
+    */
+  def perturbation(s: QCutState, rng: Random): Boolean = {
+    val spread = (0 until s.nClusters).filter { c =>
+      (0 until s.k).count(w => s.clusterScope(c, w) > 0) >= 2
+    }
+    if (spread.isEmpty) return false
+    val c = spread(rng.nextInt(spread.length))
+    val target = (0 until s.k).maxBy(w => (s.clusterScope(c, w), -w))
+    for (w <- 0 until s.k if w != target && s.clusterScope(c, w) > 0)
+      s.moveCluster(c, w, target)
+    rebalance(s, rng)
+    true
+  }
+
+  /** `Perturbation.rebalance` as written before its primitive loops: the
+    * extreme workers by `maxBy`/`minBy`, the movable clusters re-filtered on
+    * every move. Returns the number of moves made (at most 1000).
+    */
+  def rebalance(s: QCutState, rng: Random, preferSmall: Boolean = false): Int = {
+    val maxMoves = 1000
+    var moves = 0
+    var made = 0
+    while (!s.globallyBalanced && moves < maxMoves) {
+      val wMax = (0 until s.k).maxBy(w => (s.load(w), -w))
+      val wMin = (0 until s.k).minBy(w => (s.load(w), w))
+      val movable = (0 until s.nClusters).filter(cc => s.clusterScope(cc, wMax) > 0)
+      if (movable.isEmpty) moves = maxMoves
+      else {
+        val cc =
+          if (preferSmall) movable.minBy(c => (s.clusterScope(c, wMax), c))
+          else movable(rng.nextInt(movable.length))
+        s.moveCluster(cc, wMax, wMin)
+        moves += 1
+        made += 1
+      }
+    }
+    made
   }
 
   /** `IterationStats.compute` as boxed per-(qid, iter) hash maps, sorted by

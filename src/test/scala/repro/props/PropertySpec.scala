@@ -54,7 +54,7 @@ class PropertySpec extends AnyFunSuite {
       val atoms = ScopeAtoms.build(scopes, assign)
       scopes.forall { case (q, scope) =>
         (0 until k).forall { w =>
-          ScopeAtoms.localScopeSize(atoms, q, w) == scope.count(assign(_) == w).toLong
+          Oracle.localScopeSize(atoms, q, w) == scope.count(assign(_) == w).toLong
         }
       }
     })
@@ -103,6 +103,15 @@ class PropertySpec extends AnyFunSuite {
       val got = ScopeAtoms.build(scopes, assign)
       val want = Oracle.scopeAtoms(scopes, assign)
       got.map(a => (a.sig, a.worker, a.vids.toVector)) == want.map(a => (a.sig, a.worker, a.vids.toVector))
+    })
+  }
+
+  test("property: ScopeAtoms over sorted scope arrays equals the set path and the oracle") {
+    check(Prop.forAll(genScopes, Gen.choose(1, 5)) { (scopes, k) =>
+      val assign: Int => Int = v => (v * 5 + 1) % k
+      def rows(atoms: Seq[Atom]) = atoms.map(a => (a.sig, a.worker, a.vids.toVector))
+      val got = rows(ScopeAtoms.fromArrays(scopes.map { case (q, s) => q -> s.toArray.sorted }, assign))
+      got == rows(ScopeAtoms.build(scopes, assign)) && got == rows(Oracle.scopeAtoms(scopes, assign))
     })
   }
 
@@ -182,15 +191,52 @@ class PropertySpec extends AnyFunSuite {
     }, minTests = 200)
   }
 
-  test("property: globalScopes gives every query's globalScope in one pass") {
+  /** Runs `mine` and `oracle` on copies of `s`, each with a `Random` of
+    * `seed`: both must leave the same assignment, loads and cost, and their
+    * `Random`s at the same point.
+    */
+  private def sameAsOracle(s: QCutState, seed: Long)(mine: (QCutState, scala.util.Random) => Unit)(
+      oracle: (QCutState, scala.util.Random) => Unit): Boolean = {
+    val a = s.copyState(); val b = s.copyState()
+    val ra = new scala.util.Random(seed); val rb = new scala.util.Random(seed)
+    mine(a, ra); oracle(b, rb)
+    a.assign.sameElements(b.assign) && (0 until s.k).map(a.load) == (0 until s.k).map(b.load) &&
+      a.cost == b.cost && ra.nextLong() == rb.nextLong()
+  }
+
+  test("property: rebalance's primitive loop makes the oracle's moves, with either preferSmall") {
+    var capped = 0
+    var moved = 0
+    check(Prop.forAll(genQCutState, Gen.choose(0L, Long.MaxValue)) { (s, seed) =>
+      Seq(false, true).forall { preferSmall =>
+        sameAsOracle(s, seed)(Perturbation.rebalance(_, _, preferSmall)) { (b, rb) =>
+          val made = Oracle.rebalance(b, rb, preferSmall)
+          if (made == 1000) capped += 1 else if (made > 0) moved += 1
+        }
+      }
+    }, minTests = 300)
+    assert(capped > 0, "no generated repair used all 1000 moves")
+    assert(moved > 0, "no generated repair ended before its cap after moving")
+  }
+
+  test("property: Perturbation.run's primitive loops make the oracle's draws and moves") {
+    check(Prop.forAll(genQCutState, Gen.choose(0L, Long.MaxValue)) { (s, seed) =>
+      var mine = false; var oracle = true
+      sameAsOracle(s, seed)((a, ra) => mine = Perturbation.run(a, ra))((b, rb) => oracle = Oracle.perturbation(b, rb)) &&
+        mine == oracle
+    }, minTests = 300)
+  }
+
+  test("property: globalScopeArrays gives every query's globalScope, sorted and distinct, in one pass") {
     val genActs = Gen.listOf(for {
       q <- Gen.choose(0, 5); i <- Gen.choose(0, 3); v <- Gen.choose(0, 20)
     } yield ActRec(q, i, v))
     check(Prop.forAll(genActs) { acts =>
       val queries = (0 to 3).map(q => Query(q, QueryKind.Sssp, 0, 1, 0, 0)).toVector
       val t = BatchTrace(0, queries, 4, acts, Nil, Map.empty, Map.empty)
-      val all = t.globalScopes
-      all.keySet == queries.map(_.qid).toSet ++ acts.map(_.qid) && all.forall { case (q, s) => s == t.globalScope(q) }
+      val all = t.globalScopeArrays
+      all.keySet == queries.map(_.qid).toSet ++ acts.map(_.qid) &&
+        all.forall { case (q, s) => s.toSeq == t.globalScope(q).toSeq.sorted }
     })
   }
 

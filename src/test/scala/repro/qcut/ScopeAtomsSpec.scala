@@ -30,16 +30,33 @@ class ScopeAtomsSpec extends SparkSpec {
     val atoms = ScopeAtoms.build(scopes, assign)
     for ((qid, scope) <- scopes; w <- 0 to 1) {
       val direct = scope.count(assign(_) == w).toLong
-      assert(ScopeAtoms.localScopeSize(atoms, qid, w) === direct, s"LS($qid, $w)")
+      assert(Oracle.localScopeSize(atoms, qid, w) === direct, s"LS($qid, $w)")
     }
   }
 
   test("intersection function I_w matches the paper's example semantics") {
     val atoms = ScopeAtoms.build(scopes, assign)
-    assert(ScopeAtoms.intersection(atoms, 1, Set(1, 2)) === 1L) // vertex 3
-    assert(ScopeAtoms.intersection(atoms, 0, Set(1, 2)) === 0L)
-    assert(ScopeAtoms.intersection(atoms, 1, Set(2)) === 2L) // vertices 3, 4
-    assert(ScopeAtoms.intersection(atoms, 0, Set(1)) === 2L)
+    assert(Oracle.intersection(atoms, 1, Set(1, 2)) === 1L) // vertex 3
+    assert(Oracle.intersection(atoms, 0, Set(1, 2)) === 0L)
+    assert(Oracle.intersection(atoms, 1, Set(2)) === 2L) // vertices 3, 4
+    assert(Oracle.intersection(atoms, 0, Set(1)) === 2L)
+  }
+
+  test("globalScopeArrays of each small fixture batch are sorted, distinct and equal globalScope") {
+    for (t <- TestFixtures.smallSsspTraces ++ TestFixtures.smallPoiTraces) {
+      val arrays = t.globalScopeArrays
+      assert(arrays.keySet === t.queries.map(_.qid).toSet, s"batch ${t.batchId}")
+      for ((q, scope) <- arrays) {
+        assert(scope.indices.drop(1).forall(j => scope(j - 1) < scope(j)), s"batch ${t.batchId} query $q")
+        assert(scope.toSet === t.globalScope(q), s"batch ${t.batchId} query $q")
+      }
+    }
+  }
+
+  test("fromArrays rejects a scope that is not sorted and distinct") {
+    intercept[IllegalArgumentException](ScopeAtoms.fromArrays(Map(1 -> Array(2, 1)), assign))
+    intercept[IllegalArgumentException](ScopeAtoms.fromArrays(Map(1 -> Array(1, 1)), assign))
+    intercept[IllegalArgumentException](ScopeAtoms.fromArrays(Map(1 -> Array(-1, 1)), assign))
   }
 
   test("an atom rejects an unsorted or empty signature") {

@@ -11,15 +11,21 @@ For every seed, repetition and workload it runs
     python3 perfbench/run.py --heap 4g --workload W --seed S --seconds 20 --trace T
 
 once in this checkout ("change") and once in a checkout of REV ("parent"),
-one after the other. A pair is a (seed, repetition); when seed +
-repetition is odd the parent runs first, otherwise the change. The warm
+one after the other. Before the pairs, each side runs each workload once
+with the first seed, and that warm-up run is discarded: the first run in a
+freshly built checkout can be an outlier. A pair is a (seed, repetition);
+when seed + repetition is odd the parent runs first, otherwise the change. The warm
 workloads replay fixed traces whatever the seed, so --repeat gives more
 pairs of one seed. The parent checkout is a `git clone` of this
 repository at REV, kept under --parent-dir and reused, so its build and
 trace cache stay warm between invocations.
 
 Each run's last standard-output line is perfbench's JSON result. The output
-file keeps every run and, per workload and trace mode, per metric: both
+file names the change by `tree`, the hash of the tree of this checkout's
+tracked files without the output file (`git stash create`, or HEAD when
+nothing is modified; stage new files first so that they count), next to
+HEAD's `commit` and `dirty`; every change-side run records it too. It
+keeps every run and, per workload and trace mode, per metric: both
 sides' values in pair order, their medians and quartiles
 (`statistics.quantiles(values, n=4)`), and the pairs each side won (ties
 count for neither; the direction comes from BENCHMARK.json). If the output
@@ -30,9 +36,11 @@ summaries are recomputed from all runs.
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path.cwd()
@@ -45,8 +53,19 @@ def log(msg):
     print(f"[bench_pairs] {msg}", file=sys.stderr, flush=True)
 
 
-def git(*args, cwd=ROOT):
-    return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True, text=True).stdout.strip()
+def git(*args, cwd=ROOT, env=None):
+    return subprocess.run(["git", *args], cwd=cwd, env=env, check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def change_tree(out):
+    """Hash of the tree of this checkout's tracked files, without `out`."""
+    rev = git("stash", "create") or "HEAD"
+    with tempfile.TemporaryDirectory() as d:
+        env = {**os.environ, "GIT_INDEX_FILE": os.path.join(d, "index")}
+        git("read-tree", f"{rev}^{{tree}}", env=env)
+        git("rm", "--cached", "--quiet", "--ignore-unmatch", "--", str(out), env=env)
+        return git("write-tree", env=env)
 
 
 def parse_seeds(spec):
@@ -72,7 +91,7 @@ def parent_checkout(rev, parent_dir):
     return commit
 
 
-def run_once(side, cwd, workload, seed, rep, trace):
+def run_once(side, cwd, workload, seed, rep, trace, tree=None):
     cmd = ["python3", "perfbench/run.py", "--heap", HEAP, "--workload", workload, "--seed", str(seed),
            "--seconds", str(SECONDS), "--trace", str(trace)]
     log(f"{side}: {' '.join(cmd[1:])}")
@@ -85,7 +104,7 @@ def run_once(side, cwd, workload, seed, rep, trace):
     host = next((line[len("host: "):] for line in lines if line.startswith("host: ")), "")
     facts = dict(kv.split("=", 1) for kv in host.split() if "=" in kv)
     return {"workload": workload, "trace": trace, "seed": seed, "rep": rep, "side": side,
-            "commit": facts.get("commit"), "source": facts.get("source"),
+            "commit": facts.get("commit"), "source": facts.get("source"), "tree": tree,
             "correct": result["correct"], "attempted": result["attempted"], "failed": result["failed"],
             "metrics": {n: m["value"] for n, m in result["metrics"].items()}}
 
@@ -152,16 +171,23 @@ def main():
     if doc and doc.get("parent") != parent:
         sys.exit(f"{a.out} compares against {doc.get('parent')}, not {parent}")
     runs = doc.get("runs", [])
-    for seed in parse_seeds(a.seeds):
+    tree = change_tree(a.out.resolve().relative_to(ROOT))
+    seeds = parse_seeds(a.seeds)
+    sides = [("parent", a.parent_dir, None), ("change", ROOT, tree)]
+    for w in a.workload:
+        for side, cwd, _ in sides:
+            log(f"{side}: warm-up run of {w}, discarded")
+            run_once(side, cwd, w, seeds[0], -1, a.trace)
+    for seed in seeds:
         for rep in range(a.repeat):
             for w in a.workload:
-                sides = [("parent", a.parent_dir), ("change", ROOT)]
-                new = [run_once(side, cwd, w, seed, rep, a.trace)
-                       for side, cwd in (sides if (seed + rep) % 2 else sides[::-1])]
+                new = [run_once(side, cwd, w, seed, rep, a.trace, t)
+                       for side, cwd, t in (sides if (seed + rep) % 2 else sides[::-1])]
                 runs = [r for r in runs if (r["workload"], r["trace"], r["seed"], r["rep"]) != (w, a.trace, seed, rep)]
                 runs += new
             doc = {
                 "benchmark": f"python3 perfbench/run.py --heap {HEAP} --seconds {SECONDS}",
+                "tree": tree,
                 "commit": git("rev-parse", "HEAD"),
                 "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
                 "parent": parent,
