@@ -227,7 +227,8 @@ class PropertySpec extends AnyFunSuite {
     }, minTests = 300)
   }
 
-  test("property: globalScopeArrays gives every query's globalScope, sorted and distinct, in one pass") {
+  // globalScopeArrays is the one-pass form: every query's globalScope as a sorted, distinct array.
+  test("property: globalScopes gives every query's globalScope in one pass") {
     val genActs = Gen.listOf(for {
       q <- Gen.choose(0, 5); i <- Gen.choose(0, 3); v <- Gen.choose(0, 20)
     } yield ActRec(q, i, v))
