@@ -37,8 +37,9 @@ final case class QueryResult(qid: Int, found: Boolean, dist: Double, target: Int
   * `ActRec(actQid(i), actIter(i), actVid(i))`), in the order the engine
   * emitted them. Final distances are sorted by (qid, vid). Every cached
   * trace and every replay pass is held in memory, so a boxed record per row
-  * would dominate the heap. `activations`, `messages` and `finalDistances`
-  * are record views over the columns; equality is by value.
+  * would dominate the heap. The constructor takes the columns; the engine
+  * is the one producer. `activations`, `messages` and `finalDistances` are
+  * read-only record views over the columns; equality is by value.
   */
 final class BatchTrace(
     val batchId: Int,
@@ -140,23 +141,5 @@ object BatchTrace {
       i += 1
     }
     if (n == xs.length) xs else java.util.Arrays.copyOf(xs, n)
-  }
-
-  /** Builds a trace from records, e.g. a hand-written one in a test. */
-  def apply(
-      batchId: Int,
-      queries: Vector[Query],
-      iterations: Int,
-      activations: Seq[ActRec],
-      messages: Seq[MsgRec],
-      results: Map[Int, QueryResult],
-      finalDistances: Map[Int, Map[Int, Double]]): BatchTrace = {
-    val dist = finalDistances.toSeq.flatMap { case (q, m) => m.map { case (v, d) => (q, v, d) } }
-      .sortBy(t => (t._1, t._2))
-    new BatchTrace(batchId, queries, iterations,
-      activations.map(_.qid).toArray, activations.map(_.iter).toArray, activations.map(_.vid).toArray,
-      messages.map(_.qid).toArray, messages.map(_.iter).toArray,
-      messages.map(_.src).toArray, messages.map(_.dst).toArray,
-      results, dist.map(_._1).toArray, dist.map(_._2).toArray, dist.map(_._3).toArray)
   }
 }

@@ -41,19 +41,15 @@ object ExpScale {
   * deterministic in (network, workload) and partition-invariant, so every
   * (partitioner, barrier, k, adaptivity) configuration replays the same
   * trace — the engine runs once per (network, workload) and the result is
-  * persisted under `target/traces/` for subsequent JVMs (benches, jobs,
-  * calibration sweeps).
+  * persisted on disk for subsequent JVMs (tests, jobs and the benchmark).
   */
 object Traces {
   private val cache = scala.collection.concurrent.TrieMap.empty[String, Vector[BatchTrace]]
 
-  // Anchored via -Dqgraph.trace.dir (set by build.sbt to the repo root's
-  // target/traces for every forked JVM) so the root and bench subprojects
-  // share one cache; overridable via QGRAPH_TRACE_DIR.
-  private val diskDir = new java.io.File(
-    sys.props.get("qgraph.trace.dir")
-      .orElse(sys.env.get("QGRAPH_TRACE_DIR"))
-      .getOrElse("target/traces"))
+  // Anchored via -Dqgraph.trace.dir: build.sbt sets it to the repo root's
+  // target/traces for every forked test and job JVM, whatever its working
+  // directory, and perfbench/run.py to the benchmark's own cache.
+  private val diskDir = new java.io.File(sys.props.getOrElse("qgraph.trace.dir", "target/traces"))
 
   private[exp] def cacheFile(key: String) = new java.io.File(diskDir, key.replace('/', '_') + ".bin")
 

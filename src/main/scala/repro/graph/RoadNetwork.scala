@@ -107,9 +107,6 @@ final case class RoadNetwork(
   def edgeList: Iterator[(Int, Int, Double)] =
     Iterator.range(0, numVertices).flatMap(v => neighbors(v).iterator.map(u => (v, u, edgeWeight(v, u))))
 
-  /** Total number of directed edges. */
-  def numEdges: Int = 4 * numVertices - 4 * side
-
   /** Directed edges as a DataFrame: `src, dst, weight`. */
   def edgesDf(spark: SparkSession): DataFrame = {
     import spark.implicits._

@@ -41,7 +41,7 @@ object LocalSearch {
       improved = false
       bestSuccessor(s) match {
         case Some((move, movedCost)) if movedCost < s.cost =>
-          s.relocateCluster(move.c, move.from, move.to)
+          s.moveCluster(move.c, move.from, move.to)
           improved = true
           steps += 1
         case _ => ()

@@ -40,7 +40,7 @@ object Perturbation {
     while (w < s.k) { if (s.clusterScope(c, w) > s.clusterScope(c, target)) target = w; w += 1 }
     w = 0
     while (w < s.k) {
-      if (w != target && s.clusterScope(c, w) > 0) s.relocateCluster(c, w, target)
+      if (w != target && s.clusterScope(c, w) > 0) s.moveCluster(c, w, target)
       w += 1
     }
 
@@ -110,7 +110,7 @@ object Perturbation {
           var r = rng.nextInt(nMovable)
           while (r >= 0) { c += 1; if (s.clusterScope(c, wMax) > 0) r -= 1 }
         }
-        s.relocateCluster(c, wMax, wMin)
+        s.moveCluster(c, wMax, wMin)
         moves += 1
       }
     }

@@ -10,15 +10,17 @@ package repro.qcut
   *
   * Moves operate on *query clusters* (Appendix A.1: queries are
   * pre-clustered with a Karger-style algorithm into 4k clusters and whole
-  * clusters are moved between workers): `moveCluster(c, from, to)` relocates
-  * every atom on `from` whose signature intersects cluster `c` — this is the
-  * API-level `move(LS(q,w), w, w')` of Table 2 lifted to clusters.
+  * clusters are moved between workers). [[moveCluster]]`(c, from, to)`, the
+  * one way the state changes, relocates every atom on `from` whose
+  * signature intersects cluster `c` — this is the API-level
+  * `move(LS(q,w), w, w')` of Table 2 lifted to clusters.
   *
   * Note on balance accounting: the paper's Algorithm 2 approximates the
-  * workload change of a move by the scope size x; we compute the exact
-  * change from the moved atoms (vertices and scope multiplicities), which is
-  * strictly more faithful to the workload definition. The δ-threshold form
-  * of the predicate is the paper's.
+  * workload change of a move by the scope size x; the one per-move test,
+  * [[pairBalancedAfter]], takes the exact change from the moved atoms
+  * (vertices and scope multiplicities), which is strictly more faithful to
+  * the workload definition. The δ-threshold form of the predicate is the
+  * paper's.
   *
   * The window's atom indices (the size of each atom, the query indices and
   * clusters of each atom, the atoms of each cluster) are flat primitive
@@ -78,31 +80,9 @@ final class QCutState private (
     balanced(min, max)
   }
 
-  /** Atoms on `from` whose signature intersects cluster `c`, ascending;
-    * scans only cluster `c`'s atoms.
-    */
-  def atomsOn(c: Int, from: Int): Array[Int] =
-    java.util.Arrays.copyOfRange(index.clusterAtom, index.clusterAtomStart(c), index.clusterAtomStart(c + 1))
-      .filter(assign(_) == from)
-
-  /** Would moving `atomIdxs` from their (common) worker to `to` keep the
-    * moved-pair balanced? Returns the predicate of Algorithm 2 line 15 with
-    * exact workload deltas.
-    */
-  def moveKeepsPairBalanced(atomIdxs: Seq[Int], to: Int): Boolean = {
-    if (atomIdxs.isEmpty) return true
-    val from = assign(atomIdxs.head)
-    var dV = 0L; var dS = 0L
-    for (i <- atomIdxs) {
-      require(assign(i) == from, "atoms of one move must share a worker")
-      dV += index.atomSize(i)
-      dS += index.atomSize(i) * index.nQueriesOf(i)
-    }
-    pairBalancedAfter(from, to, dV, dS)
-  }
-
-  /** The predicate of [[moveKeepsPairBalanced]] for a move of `dV` vertices
-    * carrying `dS` scope multiplicity from `from` to `to`.
+  /** Would a move of `dV` vertices carrying `dS` scope multiplicity from
+    * `from` to `to` keep the moved pair balanced? The predicate of
+    * Algorithm 2 line 15, on the exact post-move workloads.
     */
   private[qcut] def pairBalancedAfter(from: Int, to: Int, dV: Long, dS: Long): Boolean =
     balanced(workload(vCount(from) - dV, sCount(from) - dS), workload(vCount(to) + dV, sCount(to) + dS))
@@ -116,47 +96,33 @@ final class QCutState private (
     m == 0 || math.abs(a - b) / m < delta
   }
 
-  /** Moves the given atoms to `to`; atoms already there stay. Moving them
-    * back to their former worker undoes the move.
-    */
-  def moveAtoms(atomIdxs: Seq[Int], to: Int): Unit = atomIdxs.foreach(moveAtom(_, to))
-
-  private def moveAtom(i: Int, to: Int): Unit = {
-    val from = assign(i)
-    if (from != to) {
-      val ix = index
-      val sz = ix.atomSize(i)
-      assign(i) = to
-      vCount(from) -= sz; vCount(to) += sz
-      val dS = sz * ix.nQueriesOf(i)
-      sCount(from) -= dS; sCount(to) += dS
-      var j = ix.atomQueryStart(i)
-      while (j < ix.atomQueryStart(i + 1)) {
-        val row = ix.atomQuery(j) * k; ls(row + from) -= sz; ls(row + to) += sz; j += 1
-      }
-      j = ix.atomClusterStart(i)
-      while (j < ix.atomClusterStart(i + 1)) {
-        val row = ix.atomCluster(j) * k; clusterMass(row + from) -= sz; clusterMass(row + to) += sz; j += 1
-      }
+  /** Moves atom `i` from `from`, where it is, to another worker `to`. */
+  private def moveAtom(i: Int, from: Int, to: Int): Unit = {
+    val ix = index
+    val sz = ix.atomSize(i)
+    assign(i) = to
+    vCount(from) -= sz; vCount(to) += sz
+    val dS = sz * ix.nQueriesOf(i)
+    sCount(from) -= dS; sCount(to) += dS
+    var j = ix.atomQueryStart(i)
+    while (j < ix.atomQueryStart(i + 1)) {
+      val row = ix.atomQuery(j) * k; ls(row + from) -= sz; ls(row + to) += sz; j += 1
+    }
+    j = ix.atomClusterStart(i)
+    while (j < ix.atomClusterStart(i + 1)) {
+      val row = ix.atomCluster(j) * k; clusterMass(row + from) -= sz; clusterMass(row + to) += sz; j += 1
     }
   }
 
-  /** `move(LS(c, from), from, to)` lifted to cluster `c`; returns the moved
-    * atom indices (empty if the cluster has no scope on `from`).
+  /** `move(LS(c, from), from, to)` lifted to cluster `c`: moves every atom
+    * on `from` whose signature intersects cluster `c` to `to`.
     */
-  def moveCluster(c: Int, from: Int, to: Int): Vector[Int] = {
-    val idxs = atomsOn(c, from)
-    relocateCluster(c, from, to)
-    idxs.toVector
-  }
-
-  /** [[moveCluster]] without collecting the moved atoms. */
-  private[qcut] def relocateCluster(c: Int, from: Int, to: Int): Unit =
+  def moveCluster(c: Int, from: Int, to: Int): Unit =
     if (from != to) {
       var j = index.clusterAtomStart(c)
       while (j < index.clusterAtomStart(c + 1)) {
         val i = index.clusterAtom(j)
-        if (assign(i) == from) moveAtom(i, to)
+        if (assign(i) == from) moveAtom(i, from, to)
         j += 1
       }
     }

@@ -1,20 +1,7 @@
 package repro.sim
 
 import java.lang.Long.bitCount
-import repro.engine.{ActRec, BatchTrace, MsgRec}
-
-/** One row of a [[BatchStats]] as a record, the way `ActRec` is a row of a
-  * `BatchTrace`: tests write and compare stats in this form.
-  *
-  * @param actByWorker active vertices per computing worker, |LS(q, w)|
-  * @param remoteMsgs  cross-worker message counts, keyed by (srcWorker,
-  *                    dstWorker), srcWorker != dstWorker
-  */
-final case class QueryIterStat(
-    qid: Int,
-    iter: Int,
-    actByWorker: Map[Int, Int],
-    remoteMsgs: Map[(Int, Int), Int])
+import repro.engine.BatchTrace
 
 /** Where every iteration of every query of one batch lands under a given
   * vertex->worker assignment: how many active vertices execute on each
@@ -36,7 +23,8 @@ final case class QueryIterStat(
   *     endpoints share a worker are a free in-memory hand-off.
   *
   * Worker sets are 64-bit masks, so workers are 0 until
-  * [[BatchStats.MaxWorkers]].
+  * [[BatchStats.MaxWorkers]]. Stats are made only by
+  * [[IterationStats.compute]], from a trace and an assignment.
   *
   * @param width one more than the largest involved worker (0 when empty)
   */
@@ -49,8 +37,7 @@ final class BatchStats private[sim] (
     computeMask: Array[Long],
     involvedMask: Array[Long],
     pairs: Array[Int],
-    remoteStart: Array[Int],
-    remotePair: Array[Int]) {
+    remoteStart: Array[Int]) {
 
   /** Number of rows, i.e. of (qid, iter) pairs. */
   def size: Int = rowIter.length
@@ -85,38 +72,12 @@ final class BatchStats private[sim] (
     * passing", Section 3.3).
     */
   def isLocal(row: Int): Boolean = remoteMsgs(row) == 0 && isComputeLocal(row)
-
-  /** The rows as records, sorted by (qid, iter). */
-  def records: Vector[QueryIterStat] =
-    (0 until queries).toVector.flatMap { i =>
-      queryRows(i).map { r =>
-        QueryIterStat(queryIds(i), rowIter(r),
-          (0 until width).filter(active(r, _) > 0).map(w => w -> active(r, w)).toMap,
-          (remoteStart(r) until remoteStart(r + 1)).groupBy(remotePair(_)).map { case (p, ms) =>
-            (p / width, p % width) -> ms.size
-          })
-      }
-    }
 }
 
 object BatchStats {
 
   /** Worker sets are `Long` bitmasks. */
   final val MaxWorkers = 64
-
-  /** Stats holding exactly `records`, e.g. hand-written ones in a test.
-    * Every record needs an activation, and its counts must be positive.
-    */
-  def of(records: Seq[QueryIterStat]): BatchStats = {
-    require(records.map(r => (r.qid, r.iter)).distinct.size == records.size, "duplicate (qid, iter) record")
-    require(records.forall(r => r.actByWorker.nonEmpty && r.actByWorker.values.forall(_ > 0) &&
-      r.remoteMsgs.forall { case ((a, b), n) => a != b && n > 0 }),
-      "a record needs an activation, positive counts and remote pairs across two workers")
-    // Vertex w stands for worker w.
-    val acts = for (r <- records; (w, n) <- r.actByWorker.toSeq; _ <- 0 until n) yield ActRec(r.qid, r.iter, w)
-    val msgs = for (r <- records; ((a, b), n) <- r.remoteMsgs.toSeq; _ <- 0 until n) yield MsgRec(r.qid, r.iter, a, b)
-    IterationStats.compute(BatchTrace(0, Vector.empty, 0, acts, msgs, Map.empty, Map.empty), w => w)
-  }
 }
 
 object IterationStats {
@@ -172,7 +133,7 @@ object IterationStats {
     val remotePair = new Array[Int](cross.n)
     bucket(cross, width, remoteStart, remotePair, involvedMask)
     new BatchStats(width, queryIds.result(), queryStart.result(), rowIter.result(), act,
-      computeMask, involvedMask, distinctPairs(remoteStart, remotePair, width), remoteStart, remotePair)
+      computeMask, involvedMask, distinctPairs(remoteStart, remotePair, width), remoteStart)
   }
 
   /** The largest of `xs(0 until n)`, or -1. */

@@ -7,7 +7,7 @@ import repro.engine.BatchTrace
 import repro.graph.RoadNetwork
 import repro.qcut.{Atom, LocalSearch, QCutState}
 import scala.util.Random
-import repro.sim.{BatchSim, BatchStats, CostModel, QueryIterStat}
+import repro.sim.{BatchSim, BatchStats, CostModel}
 import repro.sync.BarrierMode
 import scala.collection.mutable
 
@@ -133,27 +133,47 @@ object Oracle {
       .groupBy(col("qid"), col("worker"))
       .agg(count(lit(1)).as("scope_size"))
 
-  /** `QCutState.atomsOn` by its definition: every atom on `from` whose
-    * signature holds a query of cluster `c`, ascending.
+  /** The atoms `moveCluster(c, from, _)` moves, by definition: every atom
+    * on `from` whose signature holds a query of cluster `c`, ascending.
     */
   def atomsOn(s: QCutState, c: Int, from: Int): Vector[Int] =
     s.atoms.indices.filter { i =>
       s.assign(i) == from && s.atoms(i).sig.exists(q => s.clusterOfQuery(s.queryIds.indexOf(q)) == c)
     }.toVector
 
-  /** `LocalSearch.bestSuccessor` by brute force: apply every balanced
-    * successor, compute the full cost, undo it; the first cheapest wins.
+  /** `QCutState.build` afresh from the atoms where `s` has put them, each
+    * worker `w` renamed `rename(w)`; `untouched(w)` is the number of
+    * vertices on `w` that no atom holds.
+    */
+  def rebuilt(s: QCutState, untouched: Array[Long], rename: Int => Int = w => w): QCutState = {
+    val atoms = s.atoms.indices.map(i => s.atoms(i).copy(worker = rename(s.assign(i))))
+    val totals = new Array[Long](s.k)
+    for (w <- 0 until s.k) totals(rename(w)) += untouched(w)
+    atoms.foreach(a => totals(a.worker) += a.size)
+    QCutState.build(atoms, totals, s.k, s.delta, s.clusterOfQuery)
+  }
+
+  /** Everything a Q-cut state shows: its cost, every load L_w, every local
+    * scope |LS(q, w)| and every cluster scope.
+    */
+  def counts(s: QCutState): (Long, Seq[Double], Seq[Long], Seq[Long]) =
+    (s.cost, (0 until s.k).map(s.load),
+      for (q <- 0 until s.nQueries; w <- 0 until s.k) yield s.localScope(q, w),
+      for (c <- 0 until s.nClusters; w <- 0 until s.k) yield s.clusterScope(c, w))
+
+  /** `LocalSearch.bestSuccessor` by brute force: apply every successor to a
+    * copy, keep it if the moved pair's workloads satisfy the δ-constraint,
+    * compute the full cost; the first cheapest wins.
     */
   def bestSuccessor(s: QCutState): Option[(LocalSearch.Move, Long)] = {
     var best: Option[(LocalSearch.Move, Long)] = None
-    for (c <- 0 until s.nClusters; from <- 0 until s.k if s.clusterScope(c, from) > 0) {
-      val idxs = atomsOn(s, c, from)
-      for (to <- 0 until s.k if to != from && s.moveKeepsPairBalanced(idxs, to)) {
-        s.moveAtoms(idxs, to)
-        val cost = s.cost
-        s.moveAtoms(idxs, from)
-        if (best.isEmpty || cost < best.get._2) best = Some((LocalSearch.Move(c, from, to), cost))
-      }
+    for (c <- 0 until s.nClusters; from <- 0 until s.k if s.clusterScope(c, from) > 0; to <- 0 until s.k if to != from) {
+      val t = s.copyState()
+      t.moveCluster(c, from, to)
+      val (a, b) = (t.load(from), t.load(to))
+      val m = math.max(a, b)
+      if ((m == 0 || math.abs(a - b) / m < s.delta) && (best.isEmpty || t.cost < best.get._2))
+        best = Some((LocalSearch.Move(c, from, to), t.cost))
     }
     best
   }
@@ -224,11 +244,31 @@ object Oracle {
     made
   }
 
+  /** One (qid, iter) row of batch stats as boxed maps.
+    *
+    * @param actByWorker active vertices per computing worker, |LS(q, w)|
+    * @param remoteMsgs  cross-worker message counts, keyed by (srcWorker,
+    *                    dstWorker), srcWorker != dstWorker
+    */
+  final case class IterStat(qid: Int, iter: Int, actByWorker: Map[Int, Int], remoteMsgs: Map[(Int, Int), Int]) {
+    /** The row as a `BatchStats` shows it: the per-pair message counts
+      * become the number of pairs and the number of messages.
+      */
+    def shown: (Int, Int, Map[Int, Int], Int, Int) = (qid, iter, actByWorker, remoteMsgs.size, remoteMsgs.values.sum)
+  }
+
+  /** The rows of `s`, sorted by (qid, iter), in the form of [[IterStat.shown]]. */
+  def shown(s: BatchStats): Vector[(Int, Int, Map[Int, Int], Int, Int)] =
+    (0 until s.queries).toVector.flatMap(i => s.queryRows(i).map { r =>
+      (s.queryId(i), s.iter(r), (0 until s.width).filter(s.active(r, _) > 0).map(w => w -> s.active(r, w)).toMap,
+        s.remotePairs(r), s.remoteMsgs(r))
+    })
+
   /** `IterationStats.compute` as boxed per-(qid, iter) hash maps, sorted by
     * (qid, iter); every (qid, iter) with at least one activation appears
     * exactly once.
     */
-  def iterationStats(trace: BatchTrace, assign: Int => Int): Vector[QueryIterStat] = {
+  def iterationStats(trace: BatchTrace, assign: Int => Int): Vector[IterStat] = {
     val act = mutable.HashMap.empty[(Int, Int), mutable.HashMap[Int, Int]]
     for (i <- trace.actQid.indices) {
       val m = act.getOrElseUpdate((trace.actQid(i), trace.actIter(i)), mutable.HashMap.empty)
@@ -244,7 +284,7 @@ object Oracle {
       }
     }
     act.keysIterator.toVector.sorted.map { case (qid, iter) =>
-      QueryIterStat(qid, iter,
+      IterStat(qid, iter,
         act((qid, iter)).toMap,
         remote.getOrElse((qid, iter), mutable.HashMap.empty).toMap)
     }

@@ -3,6 +3,7 @@ package repro
 import org.apache.spark.sql.DataFrame
 import repro.engine._
 import repro.graph.RoadNetwork
+import repro.sim.{BatchStats, IterationStats}
 import repro.workload.QueryWorkload
 
 /** Shared, lazily-built test data. All suites run in one JVM
@@ -36,6 +37,30 @@ object TestFixtures {
   lazy val smallPoiTraces: Vector[BatchTrace] =
     BspEngine.runWorkload(SparkSpec.shared, smallEdges, small.isTagged, smallPoiQueries,
       maxIter = 400, astarSide = Some(small.side))
+
+  /** A hand-built trace, through the engine's column constructor; results
+    * and final distances stay empty.
+    */
+  def trace(activations: Seq[ActRec], messages: Seq[MsgRec] = Nil, batchId: Int = 0,
+      queries: Vector[Query] = Vector.empty, iterations: Int = 0): BatchTrace =
+    new BatchTrace(batchId, queries, iterations,
+      activations.map(_.qid).toArray, activations.map(_.iter).toArray, activations.map(_.vid).toArray,
+      messages.map(_.qid).toArray, messages.map(_.iter).toArray, messages.map(_.src).toArray,
+      messages.map(_.dst).toArray, Map.empty, Array.empty, Array.empty, Array.empty)
+
+  /** Batch stats holding exactly `rows`: `IterationStats.compute` over a
+    * trace in which vertex w stands for worker w. Every row needs an
+    * activation, and its counts must be positive.
+    */
+  def stats(rows: Seq[Oracle.IterStat]): BatchStats = {
+    require(rows.map(r => (r.qid, r.iter)).distinct.size == rows.size, "duplicate (qid, iter) row")
+    require(rows.forall(r => r.actByWorker.nonEmpty && r.actByWorker.values.forall(_ > 0) &&
+      r.remoteMsgs.forall { case ((a, b), n) => a != b && n > 0 }),
+      "a row needs an activation, positive counts and remote pairs across two workers")
+    val acts = for (r <- rows; (w, n) <- r.actByWorker.toSeq; _ <- 0 until n) yield ActRec(r.qid, r.iter, w)
+    val msgs = for (r <- rows; ((a, b), n) <- r.remoteMsgs.toSeq; _ <- 0 until n) yield MsgRec(r.qid, r.iter, a, b)
+    IterationStats.compute(trace(acts, msgs), w => w)
+  }
 
   /** A hand-built 5-vertex weighted digraph for exact-arithmetic oracle
     * tests (small enough for a DuckDB recursive-CTE shortest path).

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.Oracle
+import repro.{Oracle, TestFixtures}
 import repro.engine._
 import repro.qcut.IlsConfig
 import repro.sim.IterationStats
@@ -19,9 +19,7 @@ class ControllerSpec extends AnyFunSuite {
       yield ActRec(q, i, 10 * q + base + i)
     val msgs = for (q <- qids.toVector; i <- 0 to 3; base <- Vector(0, 5))
       yield MsgRec(q, i, 10 * q + base + i, 10 * q + base + i + 1)
-    BatchTrace(batchId, queries, 5, acts, msgs,
-      qids.map(q => q -> QueryResult(q, found = true, 4.0, 10 * q + 4, 4)).toMap,
-      Map.empty)
+    TestFixtures.trace(acts, msgs, batchId, queries, iterations = 5)
   }
 
   private def cfg(mu: Double = 1000.0, maxQ: Int = 128) = ControllerConfig(

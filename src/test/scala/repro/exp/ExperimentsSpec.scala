@@ -1,8 +1,7 @@
 package repro.exp
 
-import repro.SparkSpec
+import repro.{SparkSpec, TestFixtures}
 import repro.core.{QGraphRunner, RunConfig}
-import repro.engine.BatchTrace
 import repro.partition.HashPartitioner
 import repro.sim.CostModel
 import repro.sync.BarrierMode
@@ -44,7 +43,7 @@ class ExperimentsSpec extends SparkSpec {
   test("a trace cache file written under another maxIter is not read") {
     val scale = s.copy(nQueries = 8, seed = 77) // a workload no other test caches
     val f = Traces.cacheFile(Traces.key(scale.copy(maxIter = scale.maxIter + 1), "sssp", scale.nQueries))
-    val planted = Vector(BatchTrace(-1, Vector.empty, 0, Nil, Nil, Map.empty, Map.empty))
+    val planted = Vector(TestFixtures.trace(Nil, batchId = -1))
     f.getParentFile.mkdirs()
     val out = new java.io.ObjectOutputStream(new java.io.FileOutputStream(f))
     try out.writeObject(planted) finally out.close()

@@ -16,7 +16,7 @@ class RoadNetworkSpec extends SparkSpec {
   }
 
   test("edge count matches the closed form 4*n - 4*side") {
-    assert(g.edgeList.size === g.numEdges)
+    assert(g.edgeList.size === 4 * g.numVertices - 4 * g.side)
   }
 
   test("every edge connects 4-neighbours") {

@@ -2,10 +2,10 @@ package repro.props
 
 import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalatest.funsuite.AnyFunSuite
-import repro.Oracle
-import repro.engine.{ActRec, BatchTrace, Query, QueryKind}
+import repro.{Oracle, TestFixtures}
+import repro.engine.{ActRec, MsgRec, Query, QueryKind}
 import repro.qcut._
-import repro.sim.{BatchSim, BatchStats, CostModel, LatencySimulator, QueryIterStat}
+import repro.sim.{BatchSim, CostModel, IterationStats, LatencySimulator, Metrics}
 import repro.sync.BarrierMode
 import repro.workload.QueryWorkload
 
@@ -69,22 +69,6 @@ class PropertySpec extends AnyFunSuite {
     })
   }
 
-  test("property: moveCluster then moving the atoms back restores cost and loads") {
-    check(Prop.forAll(genScopes, Gen.choose(2, 4), Gen.choose(0, 100)) { (scopes, k, pick) =>
-      mkState(scopes, k).forall { s =>
-        val c0 = s.cost
-        val loads0 = (0 until k).map(s.load)
-        val c = pick % s.nQueries
-        (0 until k).find(w => s.clusterScope(c, w) > 0).forall { f =>
-          val to = (f + 1) % k
-          val moved = s.moveCluster(c, f, to)
-          s.moveAtoms(moved, f)
-          s.cost == c0 && (0 until k).map(s.load) == loads0
-        }
-      }
-    })
-  }
-
   test("property: everything on one worker has cost 0") {
     check(Prop.forAll(genScopes, Gen.choose(2, 4)) { (scopes, k) =>
       val atoms = ScopeAtoms.build(scopes, _ => 0)
@@ -115,15 +99,16 @@ class PropertySpec extends AnyFunSuite {
     })
   }
 
-  /** A Q-cut state over random scopes on k in [2, 16] workers, with a
+  /** A Q-cut state over random scopes on k in [2, `maxK`] workers, with a
     * tight or loose δ, identity or Karger clusters, after a few random
-    * cluster moves. Half the time δ is the initial state's exact
+    * cluster moves, and the untouched vertices of every worker, which no
+    * move changes. Half the time δ is the initial state's exact
     * (max − min) / max load ratio, so the strict `<` of the δ-constraint is
     * tested at its boundary whenever the moves leave the extremes as they
     * were.
     */
-  private val genQCutState: Gen[QCutState] = for {
-    k <- Gen.choose(2, 16)
+  private def genQCut(maxK: Int = 16): Gen[(QCutState, Array[Long])] = for {
+    k <- Gen.choose(2, maxK)
     nV <- Gen.choose(8, 60)
     nQ <- Gen.choose(1, 12)
     scopes <- Gen.sequence[List[(Int, Set[Int])], (Int, Set[Int])](
@@ -151,7 +136,46 @@ class PropertySpec extends AnyFunSuite {
       val from = rng.nextInt(k)
       s.moveCluster(c, from, (from + 1 + rng.nextInt(k - 1)) % k)
     }
-    s
+    val untouched = totals.clone()
+    atoms.foreach(a => untouched(a.worker) -= a.size)
+    (s, untouched)
+  }
+
+  private val genQCutState: Gen[QCutState] = genQCut().map(_._1)
+
+  /** Random moves as (cluster, source, shift) seeds; see [[move]]. */
+  private val genMoves = Gen.listOf(Gen.zip(Gen.choose(0, 1000), Gen.choose(0, 1000), Gen.choose(1, 1000)))
+
+  /** The move (cluster, from, to) of `s` that a seed of [[genMoves]] picks:
+    * mostly from a worker where the cluster has scope.
+    */
+  private def move(s: QCutState, seed: (Int, Int, Int)): (Int, Int, Int) = {
+    val (cc, f, shift) = seed
+    val c = cc % s.nClusters
+    val on = (0 until s.k).filter(s.clusterScope(c, _) > 0)
+    val from = if (f % 5 == 0 || on.isEmpty) f % s.k else on(f % on.size)
+    (c, from, (from + 1 + shift % (s.k - 1)) % s.k)
+  }
+
+  test("property: each moveCluster leaves the state a fresh build would give") {
+    check(Prop.forAll(genQCut(), genMoves) { case ((s, untouched), moves) =>
+      moves.forall { seed =>
+        val (c, from, to) = move(s, seed)
+        val before = s.copyState()
+        s.moveCluster(c, from, to)
+        val changed = s.atoms.indices.filter(i => s.assign(i) != before.assign(i))
+        changed == Oracle.atomsOn(before, c, from) && changed.forall(s.assign(_) == to) &&
+          Oracle.counts(s) == Oracle.counts(Oracle.rebuilt(s, untouched))
+      }
+    }, minTests = 200)
+  }
+
+  test("property: renaming workers keeps a Q-cut state's cost and balance and permutes its loads") {
+    check(Prop.forAll(genQCut(maxK = 64), Gen.long) { case ((s, untouched), seed) =>
+      val perm = new scala.util.Random(seed).shuffle((0 until s.k).toVector)
+      val r = Oracle.rebuilt(s, untouched, perm)
+      r.cost == s.cost && r.globallyBalanced == s.globallyBalanced && (0 until s.k).forall(w => r.load(perm(w)) == s.load(w))
+    }, minTests = 200)
   }
 
   test("property: delta-evaluated bestSuccessor equals apply/cost/undo along a whole descent") {
@@ -161,8 +185,7 @@ class PropertySpec extends AnyFunSuite {
       var continue = true
       while (ok && continue && steps < 200) {
         val best = LocalSearch.bestSuccessor(s)
-        ok = best == Oracle.bestSuccessor(s) &&
-          (0 until s.nClusters).forall(c => (0 until s.k).forall(w => s.atomsOn(c, w).toVector == Oracle.atomsOn(s, c, w)))
+        ok = best == Oracle.bestSuccessor(s)
         best match {
           case Some((m, cost)) if ok && cost < s.cost =>
             s.moveCluster(m.c, m.from, m.to)
@@ -181,13 +204,12 @@ class PropertySpec extends AnyFunSuite {
         val a = s.load(w); val b = s.load(w2); val m = math.max(a, b)
         m == 0 || math.abs(a - b) / m < s.delta
       })
-    check(Prop.forAll(genQCutState, Gen.listOf(Gen.zip(Gen.choose(0, 1000), Gen.choose(0, 1000), Gen.choose(1, 1000)))) {
-      (s, moves) =>
-        s.globallyBalanced == everyPair(s) && moves.forall { case (c, f, shift) =>
-          val from = f % s.k
-          s.moveCluster(c % s.nClusters, from, (from + 1 + shift % (s.k - 1)) % s.k)
-          s.globallyBalanced == everyPair(s)
-        }
+    check(Prop.forAll(genQCutState, genMoves) { (s, moves) =>
+      s.globallyBalanced == everyPair(s) && moves.forall { seed =>
+        val (c, from, to) = move(s, seed)
+        s.moveCluster(c, from, to)
+        s.globallyBalanced == everyPair(s)
+      }
     }, minTests = 200)
   }
 
@@ -234,7 +256,7 @@ class PropertySpec extends AnyFunSuite {
     } yield ActRec(q, i, v))
     check(Prop.forAll(genActs) { acts =>
       val queries = (0 to 3).map(q => Query(q, QueryKind.Sssp, 0, 1, 0, 0)).toVector
-      val t = BatchTrace(0, queries, 4, acts, Nil, Map.empty, Map.empty)
+      val t = TestFixtures.trace(acts, queries = queries, iterations = 4)
       val all = t.globalScopeArrays
       all.keySet == queries.map(_.qid).toSet ++ acts.map(_.qid) &&
         all.forall { case (q, s) => s.toSeq == t.globalScope(q).toSeq.sorted }
@@ -256,9 +278,9 @@ class PropertySpec extends AnyFunSuite {
       nw <- Gen.choose(1, 4)
       acts <- Gen.sequence[List[(Int, Int)], (Int, Int)](
         (0 until nw).map(w => Gen.choose(1, 9).map(n => w -> n)))
-    } yield QueryIterStat(qid, iter, acts.toMap, Map.empty)
+    } yield Oracle.IterStat(qid, iter, acts.toMap, Map.empty)
     check(Prop.forAll(genStat) { s =>
-      val b = BatchStats.of(Seq(s))
+      val b = TestFixtures.stats(Seq(s))
       (b.computing(0) & ~b.involved(0)) == 0L &&
         b.isLocal(0) == (s.actByWorker.size <= 1)
     })
@@ -283,7 +305,7 @@ class PropertySpec extends AnyFunSuite {
     check(Prop.forAllNoShrink(gen) { case (k, acts, c) =>
       // One iteration per query, no messages and free barriers: nothing
       // delays a query but the compute it shares with the others.
-      val stats = BatchStats.of(acts.zipWithIndex.map { case (a, q) => QueryIterStat(q, 0, a, Map.empty) })
+      val stats = TestFixtures.stats(acts.zipWithIndex.map { case (a, q) => Oracle.IterStat(q, 0, a, Map.empty) })
       val work = acts.map(_.map { case (w, n) => w -> (c.tIterWorker + n * c.tVertex) })
       val perWorker = work.flatten.groupMapReduce(_._1)(_._2)(_ + _)
       modes.forall { mode =>
@@ -306,7 +328,7 @@ class PropertySpec extends AnyFunSuite {
     } yield (k, iters)
     val c = CostModel.default
     check(Prop.forAllNoShrink(gen) { case (k, iters) =>
-      val records = iters.zipWithIndex.map { case ((a, m), i) => QueryIterStat(7, i, a, m) }.toVector
+      val records = iters.zipWithIndex.map { case ((a, m), i) => Oracle.IterStat(7, i, a, m) }.toVector
       modes.forall { mode =>
         val expected = records.map { s =>
           val involvedWorkers = s.actByWorker.keySet ++ s.remoteMsgs.keySet.flatMap { case (a, b) => Set(a, b) }
@@ -319,7 +341,7 @@ class PropertySpec extends AnyFunSuite {
             else c.tBarrierBase + c.tBarrierPerWorker * k
           compute + comm + barrier
         }.sum
-        val r = LatencySimulator.simulateBatch(BatchStats.of(records), k, mode, c)
+        val r = LatencySimulator.simulateBatch(TestFixtures.stats(records), k, mode, c)
         math.abs(r.latency(7) - expected) < 1e-9 && math.abs(r.makespan - expected) < 1e-9
       }
     }, minTests = 300)
@@ -355,17 +377,40 @@ class PropertySpec extends AnyFunSuite {
     } yield {
       val qids = gaps.scanLeft(0)(_ + _).tail
       (k, qids.zip(rows).flatMap { case (q, its) =>
-        its.zipWithIndex.map { case ((a, m), i) => QueryIterStat(q, i, a, m) }
+        its.zipWithIndex.map { case ((a, m), i) => Oracle.IterStat(q, i, a, m) }
       }, c)
     }
-    def bits(r: BatchSim) =
-      (r.latency.toList.map { case (q, l) => q -> java.lang.Double.doubleToRawLongBits(l) },
-        java.lang.Double.doubleToRawLongBits(r.makespan))
     check(Prop.forAllNoShrink(gen) { case (k, records, c) =>
-      val stats = BatchStats.of(records)
+      val stats = TestFixtures.stats(records)
       modes.forall(mode => bits(LatencySimulator.simulateBatch(stats, k, mode, c)) ==
         bits(Oracle.simulateBatch(stats, k, mode, c)))
     }, minTests = 500)
+  }
+
+  private def bits(d: Double): Long = java.lang.Double.doubleToRawLongBits(d)
+  private def bits(r: BatchSim): (Map[Int, Long], Long) = (r.latency.map { case (q, l) => q -> bits(l) }, bits(r.makespan))
+
+  test("property: renaming workers keeps latencies and locality bit-identical and permutes worker loads") {
+    val gen = for {
+      k <- Gen.frequency(3 -> Gen.choose(1, 64), 1 -> Gen.const(64))
+      nQ <- Gen.choose(1, 6)
+      at = Gen.zip(Gen.choose(0, nQ - 1), Gen.choose(0, 5), Gen.choose(0, 39))
+      acts <- Gen.listOf(at.map { case (q, i, v) => ActRec(q, i, v) })
+      msgs <- Gen.listOf(Gen.zip(at, Gen.choose(0, 39)).map { case ((q, i, v), u) => MsgRec(q, i, v, u) })
+      assign <- Gen.listOfN(40, Gen.choose(0, k - 1))
+      seed <- Gen.long
+    } yield (k, TestFixtures.trace(acts, msgs), assign.toArray, new scala.util.Random(seed).shuffle((0 until k).toVector))
+    val c = CostModel.default
+    check(Prop.forAllNoShrink(gen) { case (k, t, assign, perm) =>
+      val a = IterationStats.compute(t, assign(_))
+      val b = IterationStats.compute(t, v => perm(assign(v)))
+      val (la, lb) = (Metrics.workerLoads(a, k), Metrics.workerLoads(b, k))
+      // Not the imbalance: `Metrics.imbalanceOfLoads` adds the deviations in
+      // worker order, so a renaming can change its last bits (k = 12, one
+      // activation on worker 1 or on worker 11: 1.8333333333333326 or ...335).
+      modes.forall(m => bits(LatencySimulator.simulateBatch(a, k, m, c)) == bits(LatencySimulator.simulateBatch(b, k, m, c))) &&
+        bits(Metrics.avgQueryLocality(a)) == bits(Metrics.avgQueryLocality(b)) && (0 until k).forall(w => lb(perm(w)) == la(w))
+    }, minTests = 300)
   }
 
   test("property: Karger clustering never exceeds the target on connected graphs") {

@@ -1,6 +1,7 @@
 package repro.qcut
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.Oracle
 
 class QCutStateSpec extends AnyFunSuite {
 
@@ -16,6 +17,9 @@ class QCutStateSpec extends AnyFunSuite {
     QCutState.build(atoms, Array(5L, 5L), k = 2, delta = delta,
       clusterOfQuery = KargerClustering.identityClusters(2))
   }
+
+  /** The vertices of `mkState` that no atom holds: 2 on each worker. */
+  private val untouched = Array(2L, 2L)
 
   test("initial local scopes") {
     val s = mkState()
@@ -48,8 +52,8 @@ class QCutStateSpec extends AnyFunSuite {
 
   test("moveCluster relocates exactly the intersecting atoms on the source worker") {
     val s = mkState()
-    val moved = s.moveCluster(0, 1, 0) // a1 only
-    assert(moved === Vector(1))
+    s.moveCluster(0, 1, 0) // a1 only
+    assert(s.assign.toSeq === Seq(0, 0, 1, 0))
     assert(s.localScope(0, 0) === 4L && s.localScope(0, 1) === 0L)
     assert(s.cost === 1L) // q0 perfect, q1 still split
   }
@@ -63,15 +67,13 @@ class QCutStateSpec extends AnyFunSuite {
     assert(s.cost === 2L)
   }
 
-  test("move and undo restore cost and loads exactly") {
+  test("after each move, the state equals a fresh build from the moved atoms") {
     val s = mkState()
-    val c0 = s.cost
-    val l0 = (0 until 2).map(s.load)
-    val moved = s.moveCluster(0, 0, 1)
-    assert(s.cost !== c0)
-    s.moveAtoms(moved, 0)
-    assert(s.cost === c0)
-    assert((0 until 2).map(s.load) === l0)
+    for ((c, from, to) <- Seq((0, 0, 1), (1, 1, 0), (0, 1, 0))) {
+      s.moveCluster(c, from, to)
+      assert(Oracle.counts(s) === Oracle.counts(Oracle.rebuilt(s, untouched)))
+    }
+    assert(s.assign.toSeq === Seq(0, 0, 0, 0))
   }
 
   test("copyState is independent of the original") {
@@ -95,24 +97,30 @@ class QCutStateSpec extends AnyFunSuite {
     // loads 4.5 vs 4.0; delta equal to their ratio is not inside it
     assert(!mkState(delta = (4.5 - 4.0) / 4.5).globallyBalanced)
     assert(mkState(delta = math.nextUp((4.5 - 4.0) / 4.5)).globallyBalanced)
-    // moving a1 (cluster 0 on w1) to w0 gives loads 5.5 vs 3.0
+    // moving a1 (cluster 0 on w1: 1 vertex in 1 scope) to w0 gives loads
+    // 5.5 vs 3.0; with k = 2 the moved pair's test is the global one
     val atRatio = mkState(delta = (5.5 - 3.0) / 5.5)
-    assert(!atRatio.moveKeepsPairBalanced(atRatio.atomsOn(0, 1).toVector, 0))
+    assert(!atRatio.pairBalancedAfter(1, 0, dV = 1, dS = 1))
     val above = mkState(delta = math.nextUp((5.5 - 3.0) / 5.5))
-    assert(above.moveKeepsPairBalanced(above.atomsOn(0, 1).toVector, 0))
+    assert(above.pairBalancedAfter(1, 0, dV = 1, dS = 1))
+    for (s <- Seq(atRatio, above)) {
+      s.moveCluster(0, 1, 0)
+      assert(s.load(0) === 5.5 && s.load(1) === 3.0)
+    }
+    assert(!atRatio.globallyBalanced && above.globallyBalanced)
   }
 
-  test("moveKeepsPairBalanced uses exact post-move workloads") {
+  test("pairBalancedAfter uses exact post-move workloads") {
     val s = mkState(delta = 0.3)
     // moving a0+a3 (cluster 0 on w0) to w1: w0 loses V=3,S=4 -> (2+0)/2=1;
     // w1 gains -> (8+7)/2=7.5; 6.5/7.5 = 0.867 >= 0.3 -> unbalanced
-    val idxs = s.atomsOn(0, 0).toVector
-    assert(!s.moveKeepsPairBalanced(idxs, 1))
+    assert(!s.pairBalancedAfter(0, 1, dV = 3, dS = 4))
     // moving just a1 (cluster 0 on w1) to w0: w1 -> (4+2)/2=3, w0 -> (6+5)/2=5.5
     // 2.5/5.5 = 0.455 >= 0.3 -> still unbalanced under tight delta
-    assert(!s.moveKeepsPairBalanced(s.atomsOn(0, 1).toVector, 0))
-    val loose = mkState(delta = 0.5)
-    assert(loose.moveKeepsPairBalanced(loose.atomsOn(0, 1).toVector, 0))
+    assert(!s.pairBalancedAfter(1, 0, dV = 1, dS = 1))
+    assert(mkState(delta = 0.5).pairBalancedAfter(1, 0, dV = 1, dS = 1))
+    s.moveCluster(0, 0, 1)
+    assert(s.load(0) === 1.0 && s.load(1) === 7.5)
   }
 
   test("toVertexAssignment applies only moved atoms") {

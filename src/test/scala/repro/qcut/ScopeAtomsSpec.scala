@@ -114,7 +114,7 @@ class ScopeAtomsSpec extends SparkSpec {
       .map(r => (r.getInt(0), r.getInt(1)) -> r.getLong(2)).toMap
     assert(sparkLs === fromStats.map { case (k, s) => k -> s.size.toLong }.toMap)
     // And per-iteration activation counts must sum consistently.
-    val sumStats = stats.records.map(_.actByWorker.values.sum).sum
+    val sumStats = (0 until stats.size).map(r => (0 until stats.width).map(stats.active(r, _)).sum).sum
     assert(sumStats === trace.activations.size)
   }
 }

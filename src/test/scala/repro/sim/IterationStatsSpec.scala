@@ -7,14 +7,11 @@ import repro.engine._
 class IterationStatsSpec extends SparkSpec {
 
   private val queries = Vector(Query(0, QueryKind.Sssp, 0, 3, 0, 0))
-  private val trace = BatchTrace(
-    batchId = 0,
-    queries = queries,
-    iterations = 2,
+  private val trace = TestFixtures.trace(
     activations = Vector(ActRec(0, 0, 0), ActRec(0, 1, 1), ActRec(0, 1, 2), ActRec(0, 2, 3)),
     messages = Vector(MsgRec(0, 0, 0, 1), MsgRec(0, 0, 0, 2), MsgRec(0, 1, 1, 3), MsgRec(0, 1, 2, 3)),
-    results = Map(0 -> QueryResult(0, found = true, 2.0, 3, 2)),
-    finalDistances = Map(0 -> Map(0 -> 0.0)))
+    queries = queries,
+    iterations = 2)
 
   /** The workers of a mask. */
   private def workers(mask: Long): Set[Int] = (0 until BatchStats.MaxWorkers).filter(w => (mask >>> w & 1L) == 1L).toSet
@@ -23,11 +20,11 @@ class IterationStatsSpec extends SparkSpec {
   test("activation counts per worker") {
     // vertices 0,1 -> w0; 2,3 -> w1
     val assign: Int => Int = v => if (v <= 1) 0 else 1
-    val stats = IterationStats.compute(trace, assign).records
-    assert(stats.map(s => (s.qid, s.iter)) === Vector((0, 0), (0, 1), (0, 2)))
-    assert(stats(0).actByWorker === Map(0 -> 1))
-    assert(stats(1).actByWorker === Map(0 -> 1, 1 -> 1))
-    assert(stats(2).actByWorker === Map(1 -> 1))
+    val stats = Oracle.shown(IterationStats.compute(trace, assign))
+    assert(stats.map(s => (s._1, s._2)) === Vector((0, 0), (0, 1), (0, 2)))
+    assert(stats(0)._3 === Map(0 -> 1))
+    assert(stats(1)._3 === Map(0 -> 1, 1 -> 1))
+    assert(stats(2)._3 === Map(1 -> 1))
   }
 
   /** Messages of `trace` whose endpoints lie on different workers. */
@@ -37,10 +34,8 @@ class IterationStatsSpec extends SparkSpec {
   test("remote and local message counts") {
     val assign: Int => Int = v => if (v <= 1) 0 else 1
     val stats = IterationStats.compute(trace, assign)
-    val recs = stats.records
-    assert(recs(0).remoteMsgs === Map((0, 1) -> 1)) // 0->2 crosses, 0->1 stays
-    assert(recs(1).remoteMsgs === Map((0, 1) -> 1)) // 1->3 crosses, 2->3 stays
-    assert(recs(2).remoteMsgs === Map.empty[(Int, Int), Int])
+    // Row 0: 0->2 crosses, 0->1 stays; row 1: 1->3 crosses, 2->3 stays.
+    assert(rows(stats).map(r => (stats.remotePairs(r), stats.remoteMsgs(r))) === Vector((1, 1), (1, 1), (0, 0)))
     assert(rows(stats).map(stats.remoteMsgs).sum === crossing(assign))
   }
 
@@ -82,12 +77,12 @@ class IterationStatsSpec extends SparkSpec {
     assert(stats.queryRows(0).map(stats.iter) === Vector(0, 1, 2))
   }
 
-  test("BatchStats.of holds exactly its records") {
+  test("stats from hand-written rows hold exactly those rows") {
     val recs = Vector(
-      QueryIterStat(3, 0, Map(0 -> 2), Map.empty),
-      QueryIterStat(3, 2, Map(1 -> 1, 4 -> 3), Map((1, 4) -> 2, (4, 0) -> 1)),
-      QueryIterStat(5, 1, Map(2 -> 1), Map((2, 1) -> 1)))
-    assert(BatchStats.of(recs.reverse).records === recs)
+      Oracle.IterStat(3, 0, Map(0 -> 2), Map.empty),
+      Oracle.IterStat(3, 2, Map(1 -> 1, 4 -> 3), Map((1, 4) -> 2, (4, 0) -> 1)),
+      Oracle.IterStat(5, 1, Map(2 -> 1), Map((2, 1) -> 1)))
+    assert(Oracle.shown(TestFixtures.stats(recs.reverse)) === recs.map(_.shown))
   }
 
   test("an assignment beyond the 64-worker limit fails") {
@@ -126,7 +121,7 @@ class IterationStatsSpec extends SparkSpec {
     seed <- Gen.long
   } yield {
     val rnd = new scala.util.Random(seed)
-    (k, BatchTrace(0, Vector.empty, 0, rnd.shuffle(acts), rnd.shuffle(msgs), Map.empty, Map.empty), assign.toArray)
+    (k, TestFixtures.trace(rnd.shuffle(acts), rnd.shuffle(msgs)), assign.toArray)
   }
 
   test("property: compute equals the boxed hash-map computation of the oracle") {
@@ -134,11 +129,10 @@ class IterationStatsSpec extends SparkSpec {
     check(Prop.forAllNoShrink(genReplay) { case (k, t, assign) =>
       val stats = IterationStats.compute(t, assign(_))
       val expected = Oracle.iterationStats(t, assign(_))
-      stats.width <= k && stats.records == expected && expected.indices.forall { r =>
+      stats.width <= k && Oracle.shown(stats) == expected.map(_.shown) && expected.indices.forall { r =>
         val e = expected(r)
         stats.computing(r) == mask(e.actByWorker.keys) &&
-          stats.involved(r) == mask(e.actByWorker.keys ++ e.remoteMsgs.keys.flatMap { case (a, b) => Seq(a, b) }) &&
-          stats.remotePairs(r) == e.remoteMsgs.size && stats.remoteMsgs(r) == e.remoteMsgs.values.sum
+          stats.involved(r) == mask(e.actByWorker.keys ++ e.remoteMsgs.keys.flatMap { case (a, b) => Seq(a, b) })
       }
     }, minTests = 300)
   }
@@ -150,7 +144,7 @@ class IterationStatsSpec extends SparkSpec {
     val hash = repro.partition.HashPartitioner.assign(g, 4)
     val stats = IterationStats.compute(real, hash(_))
     val statsDf = spark.createDataset(
-      stats.records.flatMap(s => s.actByWorker.map { case (w, n) => (s.qid, s.iter, w, n.toLong) })
+      Oracle.shown(stats).flatMap { case (q, it, acts, _, _) => acts.map { case (w, n) => (q, it, w, n.toLong) } }
     ).toDF("qid", "iter", "worker", "n")
     val adf = Oracle.activationsDf(spark, real)
     val sdf = Oracle.assignmentDf(spark, hash)
@@ -164,27 +158,26 @@ class IterationStatsSpec extends SparkSpec {
       "assignment" -> sdf)
   }
 
-  test("oracle: remote message matrix matches DuckDB") {
+  test("oracle: remote pairs and messages per (query, iter) match DuckDB") {
     import spark.implicits._
     val real = TestFixtures.smallSsspTraces.head
     val g = TestFixtures.small
     val hash = repro.partition.HashPartitioner.assign(g, 4)
     val stats = IterationStats.compute(real, hash(_))
     val remoteDf = spark.createDataset(
-      stats.records.flatMap(s => s.remoteMsgs.map { case ((a, b), n) => (s.qid, s.iter, a, b, n.toLong) })
-    ).toDF("qid", "iter", "wsrc", "wdst", "n")
+      Oracle.shown(stats).collect { case (q, it, _, pairs, n) if n > 0 => (q, it, pairs.toLong, n.toLong) }
+    ).toDF("qid", "iter", "pairs", "n")
     val mdf = Oracle.messagesDf(spark, real)
     val sdf = Oracle.assignmentDf(spark, hash)
     Oracle.assertEquivalent(
       remoteDf,
       """SELECT CAST(m.qid AS BIGINT) AS qid, CAST(m.iter AS BIGINT) AS iter,
-        |       CAST(ss.worker AS BIGINT) AS wsrc, CAST(sd.worker AS BIGINT) AS wdst,
-        |       COUNT(*) AS n
+        |       COUNT(DISTINCT ss.worker || '>' || sd.worker) AS pairs, COUNT(*) AS n
         |FROM messages m
         |JOIN assignment ss ON m.src = ss.vid
         |JOIN assignment sd ON m.dst = sd.vid
         |WHERE ss.worker <> sd.worker
-        |GROUP BY m.qid, m.iter, ss.worker, sd.worker""".stripMargin,
+        |GROUP BY m.qid, m.iter""".stripMargin,
       "messages" -> mdf,
       "assignment" -> sdf)
   }

@@ -1,6 +1,7 @@
 package repro.sim
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.{Oracle, TestFixtures}
 import repro.sync.BarrierMode
 
 class LatencySimulatorSpec extends AnyFunSuite {
@@ -14,11 +15,11 @@ class LatencySimulatorSpec extends AnyFunSuite {
     tGlobalStopStart = 10.0, tMovePerVertex = 0.01)
 
   private def stat(qid: Int, iter: Int, act: Map[Int, Int],
-                   remote: Map[(Int, Int), Int] = Map.empty): QueryIterStat =
-    QueryIterStat(qid, iter, act, remote)
+                   remote: Map[(Int, Int), Int] = Map.empty): Oracle.IterStat =
+    Oracle.IterStat(qid, iter, act, remote)
 
-  private def simulate(records: Seq[QueryIterStat], k: Int, mode: BarrierMode, c: CostModel): BatchSim =
-    LatencySimulator.simulateBatch(BatchStats.of(records), k, mode, c)
+  private def simulate(records: Seq[Oracle.IterStat], k: Int, mode: BarrierMode, c: CostModel): BatchSim =
+    LatencySimulator.simulateBatch(TestFixtures.stats(records), k, mode, c)
 
   test("single local query: compute plus local barrier per iteration") {
     val stats = Vector(stat(0, 0, Map(0 -> 2)), stat(0, 1, Map(0 -> 3)))

@@ -7,8 +7,8 @@ import repro.qcut.{KargerClustering, QCutState, ScopeAtoms}
 class MetricsSpec extends AnyFunSuite {
 
   private def stat(qid: Int, iter: Int, act: Map[Int, Int],
-                   remote: Map[(Int, Int), Int] = Map.empty): QueryIterStat =
-    QueryIterStat(qid, iter, act, remote)
+                   remote: Map[(Int, Int), Int] = Map.empty): Oracle.IterStat =
+    Oracle.IterStat(qid, iter, act, remote)
 
   test("query locality counts fully-local iterations") {
     val stats = Vector(
@@ -16,14 +16,14 @@ class MetricsSpec extends AnyFunSuite {
       stat(0, 1, Map(0 -> 2, 1 -> 1)),
       stat(0, 2, Map(0 -> 1)),
       stat(0, 3, Map(0 -> 1)))
-    assert(Metrics.queryLocality(BatchStats.of(stats)) === Map(0 -> 0.75))
+    assert(Metrics.queryLocality(TestFixtures.stats(stats)) === Map(0 -> 0.75))
   }
 
   test("the metric is compute-locality: a remote message does not break it") {
     // The paper's Fig 6f metric counts iterations whose *active vertices*
     // share a worker; message fan-out only matters for the barrier model.
     val s = stat(0, 0, Map(0 -> 1), Map((0, 1) -> 1))
-    val b = BatchStats.of(Vector(s))
+    val b = TestFixtures.stats(Vector(s))
     assert(Metrics.queryLocality(b) === Map(0 -> 1.0))
     assert(!b.isLocal(0), "the synchronization-sense locality does consider messages")
     assert(b.isComputeLocal(0))
@@ -34,16 +34,16 @@ class MetricsSpec extends AnyFunSuite {
       stat(0, 0, Map(0 -> 1)), stat(0, 1, Map(0 -> 1)), stat(0, 2, Map(0 -> 1)),
       stat(1, 0, Map(0 -> 1, 1 -> 1)))
     // q0 locality 1.0, q1 locality 0.0 -> average 0.5 (not 3/4)
-    assert(Metrics.avgQueryLocality(BatchStats.of(stats)) === 0.5)
+    assert(Metrics.avgQueryLocality(TestFixtures.stats(stats)) === 0.5)
   }
 
   test("workload imbalance of a perfectly balanced assignment is 0") {
-    val stats = BatchStats.of(Vector(stat(0, 0, Map(0 -> 5, 1 -> 5))))
+    val stats = TestFixtures.stats(Vector(stat(0, 0, Map(0 -> 5, 1 -> 5))))
     assert(Metrics.windowImbalance(Seq(Metrics.workerLoads(stats, 2)), 2) === 0.0)
   }
 
   test("workload imbalance of a fully skewed assignment") {
-    val stats = BatchStats.of(Vector(stat(0, 0, Map(0 -> 10))))
+    val stats = TestFixtures.stats(Vector(stat(0, 0, Map(0 -> 10))))
     // loads (10, 0), avg 5 -> mean deviation 5 -> 5/5 = 1.0
     assert(Metrics.windowImbalance(Seq(Metrics.workerLoads(stats, 2)), 2) === 1.0)
   }
@@ -68,7 +68,7 @@ class MetricsSpec extends AnyFunSuite {
   }
 
   test("empty stats yield locality 1 and imbalance 0") {
-    val empty = BatchStats.of(Vector.empty)
+    val empty = TestFixtures.stats(Vector.empty)
     assert(Metrics.avgQueryLocality(empty) === 1.0)
     assert(Metrics.windowImbalance(Seq(Metrics.workerLoads(empty, 4)), 4) === 0.0)
   }
