@@ -76,7 +76,7 @@ final class Controller(k: Int, cfg: ControllerConfig) {
   // recent batches; the imbalance trigger is smoothed over them (the paper
   // smooths its workload measurements over sliding windows, Fig. 6e) so one
   // skewed batch of 16 query arrivals does not cause a repartition storm.
-  private val recentLoads = mutable.ArrayDeque.empty[Map[Int, Long]]
+  private val recentLoads = mutable.ArrayDeque.empty[IndexedSeq[Long]]
 
   /** Ingests the statistics of a completed batch at simulated time `now`
     * and evicts entries older than μ (keeping at most `maxQueries`).

@@ -21,8 +21,8 @@ final case class RunConfig(
     ctrl: ControllerConfig = ControllerConfig())
 
 /** Per-batch measurements (the time series behind Figs. 5a/5b/6e/6f).
-  * `loadByWorker` (activations per worker) feeds the sliding-window
-  * imbalance of Fig. 6e.
+  * `loadByWorker` (activations per worker, indexed by worker) feeds the
+  * sliding-window imbalance of Fig. 6e.
   */
 final case class BatchOutcome(
     batchId: Int,
@@ -32,7 +32,7 @@ final case class BatchOutcome(
     makespan: Double,
     locality: Double,
     imbalance: Double,
-    loadByWorker: Map[Int, Long],
+    loadByWorker: IndexedSeq[Long],
     repartitioned: Boolean,
     movedVertices: Long)
 
@@ -72,7 +72,7 @@ object QGraphRunner {
 
   /** One batch replayed under one assignment. */
   private final class Replay(val stats: BatchStats, val sim: BatchSim, val locality: Double,
-      val loads: Map[Int, Long], val imbalance: Double)
+      val loads: IndexedSeq[Long], val imbalance: Double)
 
   private def replay(trace: BatchTrace, assign: Array[Int], cfg: RunConfig): Replay = {
     val stats = IterationStats.compute(trace, v => assign(v))

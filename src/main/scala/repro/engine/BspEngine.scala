@@ -30,13 +30,13 @@ private[engine] final class Csr(val offsets: Array[Int], val dst: Array[Int], va
   * matching the paper's write-isolation rule for concurrent analytics
   * queries.
   *
-  * Goal-directed pruning: messages whose accumulated distance is already
-  * >= the query's current bound (distance of the SSSP end vertex / nearest
-  * tagged vertex found so far) can never improve the answer on a
-  * positive-weight graph and are not sent. This is what keeps hotspot
-  * queries *localized* — the property Q-cut exploits. `pruned = false`
-  * yields full-graph settlement (the query-agnostic "GraphX-style"
-  * baseline of Section 4.1).
+  * Goal-directed pruning: a query's bound is the distance of the nearest
+  * goal it has reached so far (its end vertex for SSSP, a tagged vertex
+  * for POI). Messages whose accumulated distance is already >= that bound
+  * can never improve the answer on a positive-weight graph and are not
+  * sent. This is what keeps hotspot queries *localized* — the property
+  * Q-cut exploits. `pruned = false` yields full-graph settlement (the
+  * query-agnostic "GraphX-style" baseline of Section 4.1).
   */
 object BspEngine {
 
@@ -127,9 +127,10 @@ object BspEngine {
       .collect().toVector.map(_.get)
   }
 
-  /** The BSP loop of one batch over a local adjacency. Within an iteration
-    * queries run in qid order; messages come out in (qid, src, dst) order
-    * and activations in (qid, vid) order.
+  /** The BSP loop of one batch over a local adjacency. Queries run in qid
+    * order in every iteration, iteration 0 included, whatever order the
+    * batch lists them in: messages come out in (iter, qid, src, dst) order
+    * and activations in (iter, qid, vid) order.
     */
   private def execute(
       csr: Csr,
@@ -139,16 +140,15 @@ object BspEngine {
       pruned: Boolean,
       astarSide: Option[Int]): BatchTrace = {
     val qs = queries.sortBy(_.qid).toArray
-    val slot = qs.indices.map(i => qs(i).qid -> i).toMap
     val n = math.max(csr.numVertices, qs.map(q => math.max(q.start, q.end)).max + 1)
 
     // Query-private vertex state dist(q, v); the shared graph is read-only.
     val dist = Array.fill(qs.length)(Array.fill(n)(Double.PositiveInfinity))
-    // Pruning bound per query: SSSP -> current dist(end); POI -> best tagged dist.
+    // SSSP and POI are one nearest-goal search. Per query: the nearest goal
+    // reached (-1 before any) and its distance, the pruning bound, which for
+    // SSSP is always dist(end).
+    val goal = Array.fill(qs.length)(-1)
     val bound = Array.fill(qs.length)(Double.PositiveInfinity)
-    // POI best candidate, tie-break on smaller vid.
-    val bestVid = Array.fill(qs.length)(-1)
-    val bestDist = Array.fill(qs.length)(Double.PositiveInfinity)
     val lastActiveIter = new Array[Int](qs.length)
 
     val actQid, actIter, actVid = Array.newBuilder[Int]
@@ -158,24 +158,26 @@ object BspEngine {
       lastActiveIter(i) = iter
     }
 
+    val sssp = qs.map(_.kind == QueryKind.Sssp)
+    def isGoal(i: Int, v: Int): Boolean = if (sssp(i)) v == qs(i).end else isTagged(v)
+    // The one goal rule, at the start vertex and at every improved vertex:
+    // a goal nearer than the bound, or as near with a smaller vid, wins.
+    def reached(i: Int, v: Int, d: Double): Unit =
+      if (isGoal(i, v) && (d < bound(i) || (d == bound(i) && v < goal(i)))) { goal(i) = v; bound(i) = d }
+
     // Admissible remaining-distance lower bound h(q, v) for A*-style pruning.
     val side = astarSide.getOrElse(0)
-    val aStar = qs.map(q => astarSide.isDefined && q.kind == QueryKind.Sssp)
+    val aStar = sssp.map(_ && astarSide.isDefined)
     def h(i: Int, v: Int): Double =
       if (aStar(i)) (math.abs(v % side - qs(i).end % side) + math.abs(v / side - qs(i).end / side)).toDouble
       else 0.0
     // A vertex reached at distance d can still improve the answer.
     def promising(i: Int, v: Int, d: Double): Boolean = d + h(i, v) < bound(i)
 
-    for (q <- queries) {
-      val i = slot(q.qid)
-      dist(i)(q.start) = 0.0
-      activate(i, 0, q.start)
-      q.kind match {
-        case QueryKind.Sssp => if (q.start == q.end) bound(i) = 0.0
-        case QueryKind.Poi =>
-          if (isTagged(q.start)) { bound(i) = 0.0; bestVid(i) = q.start; bestDist(i) = 0.0 }
-      }
+    for (i <- qs.indices) {
+      dist(i)(qs(i).start) = 0.0
+      activate(i, 0, qs(i).start)
+      reached(i, qs(i).start, 0.0)
     }
     // A start vertex that already satisfies its goal sends no messages.
     val frontier: Array[Array[Int]] =
@@ -209,14 +211,7 @@ object BspEngine {
           activate(i, iter + 1, u)
           if (nd < d(u)) {
             d(u) = nd
-            q.kind match {
-              case QueryKind.Sssp =>
-                if (u == q.end && nd < bound(i)) bound(i) = nd
-              case QueryKind.Poi =>
-                if (isTagged(u) && (nd < bestDist(i) || (nd == bestDist(i) && u < bestVid(i)))) {
-                  bestVid(i) = u; bestDist(i) = nd; bound(i) = nd
-                }
-            }
+            reached(i, u, nd)
             next += u
           }
         }
@@ -231,15 +226,9 @@ object BspEngine {
 
     val results = qs.indices.map { i =>
       val q = qs(i)
-      q.qid -> (q.kind match {
-        case QueryKind.Sssp =>
-          val d = dist(i)(q.end)
-          val found = d < Double.PositiveInfinity
-          QueryResult(q.qid, found, if (found) d else Double.NaN, q.end, lastActiveIter(i))
-        case QueryKind.Poi =>
-          val found = bestVid(i) >= 0
-          QueryResult(q.qid, found, if (found) bestDist(i) else Double.NaN, bestVid(i), lastActiveIter(i))
-      })
+      val found = goal(i) >= 0
+      q.qid -> QueryResult(q.qid, found, if (found) bound(i) else Double.NaN, if (sssp(i)) q.end else goal(i),
+        lastActiveIter(i))
     }.toMap
 
     val distQid, distVid = Array.newBuilder[Int]

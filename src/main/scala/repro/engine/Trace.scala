@@ -34,11 +34,12 @@ final case class QueryResult(qid: Int, found: Boolean, dist: Double, target: Int
   *
   * Storage is columnar: activations, messages and final distances are
   * parallel primitive arrays (row `i` of the activation columns is
-  * `ActRec(actQid(i), actIter(i), actVid(i))`), in the order the engine
-  * emitted them. Final distances are sorted by (qid, vid). Every cached
-  * trace and every replay pass is held in memory, so a boxed record per row
-  * would dominate the heap. The constructor takes the columns; the engine
-  * is the one producer. `activations`, `messages` and `finalDistances` are
+  * `ActRec(actQid(i), actIter(i), actVid(i))`). The engine emits
+  * activations sorted by (iter, qid, vid) and messages by (iter, qid, src,
+  * dst), whatever order the batch lists its queries in; final distances
+  * are sorted by (qid, vid). Every cached trace and every replay pass is
+  * held in memory, so a boxed record per row would dominate the heap. The
+  * constructor takes the columns; the engine is the one producer. `activations`, `messages` and `finalDistances` are
   * read-only record views over the columns; equality is by value.
   */
 final class BatchTrace(

@@ -31,10 +31,6 @@ object ExpScale {
   def bw: ExpScale = ExpScale(RoadNetwork.bwLite, nQueries = 256, nDisturb = 128, k = 8)
   /** Germany stand-in (Fig. 5b / 6b). */
   def gy: ExpScale = ExpScale(RoadNetwork.gyLite, nQueries = 256, nDisturb = 0, k = 8)
-  /** Unit-test scale. */
-  def tiny: ExpScale = ExpScale(
-    RoadNetwork.generate("small-24", side = 24, nCities = 5, tagRate = 40, seed = 11),
-    nQueries = 32, nDisturb = 16, k = 4, batchSize = 8, maxIter = 400)
 }
 
 /** Process-wide and on-disk cache of engine traces: traces are

@@ -179,8 +179,4 @@ object RoadNetwork {
     */
   def gyLite: RoadNetwork =
     generate("GY-lite", side = 200, nCities = 64, tagRate = 200, seed = 43, zipfAlpha = 1.25)
-
-  /** Tiny graph for unit tests (SF=0.01 regime). */
-  def tiny(side: Int = 16, nCities: Int = 4, seed: Long = 7): RoadNetwork =
-    generate(s"tiny-$side", side, nCities, tagRate = 25, seed = seed)
 }

@@ -90,32 +90,26 @@ object IterationStats {
     */
   def compute(trace: BatchTrace, assign: Int => Int): BatchStats = {
     val aq = trace.actQid; val ai = trace.actIter
-    // Queries span a dense qid range and each query a dense iteration
-    // range, so (qid, it) has the slot `iterStart(q) + it - iterMin(q)`,
-    // q = qid - qMin, and slots are in (qid, iter) order.
-    val (qMin, qMax) = range(aq)
-    val nq = if (aq.isEmpty) 0 else qMax - qMin + 1
-    val iterMin = Array.fill(nq)(Int.MaxValue)
-    val iterMax = Array.fill(nq)(Int.MinValue)
-    iterRanges(aq, ai, qMin, iterMin, iterMax)
-    val iterStart = new Array[Int](nq + 1)
-    for (q <- 0 until nq)
-      iterStart(q + 1) = iterStart(q) + (if (iterMin(q) <= iterMax(q)) iterMax(q) - iterMin(q) + 1 else 0)
-    val rowOfSlot = Array.fill(iterStart(nq))(-1)
-    val actSlot = slots(aq, ai, qMin, iterMin, iterStart, rowOfSlot)
+    // One flat slot table over the activations' qid and iteration ranges:
+    // (qid, it) has the slot `(qid - qMin) * nIter + it - iMin`, and slots
+    // are in (qid, iter) order.
+    val (qMin, qMax) = range(aq); val (iMin, iMax) = range(ai)
+    val (nq, nIter) = if (aq.isEmpty) (0, 0) else (qMax - qMin + 1, iMax - iMin + 1)
+    val rowOfSlot = Array.fill(Math.multiplyExact(nq, nIter))(-1)
+    val actSlot = slots(aq, ai, qMin, iMin, nIter, rowOfSlot)
     // Number the slots of activations in order: they are the rows.
     val queryIds = Array.newBuilder[Int]
     val queryStart = Array.newBuilder[Int]
     val rowIter = Array.newBuilder[Int]
     var rows = 0
-    for (q <- 0 until nq if iterMin(q) <= iterMax(q)) {
-      queryIds += qMin + q
-      queryStart += rows
-      for (s <- iterStart(q) until iterStart(q + 1) if rowOfSlot(s) == 0) {
-        rowOfSlot(s) = rows
-        rowIter += iterMin(q) + s - iterStart(q)
+    for (q <- 0 until nq) {
+      val first = rows
+      for (it <- 0 until nIter if rowOfSlot(q * nIter + it) == 0) {
+        rowOfSlot(q * nIter + it) = rows
+        rowIter += iMin + it
         rows += 1
       }
+      if (rows > first) { queryIds += qMin + q; queryStart += first }
     }
     queryStart += rows
     // `assign` is called in `workers` only: a caller passing another
@@ -123,7 +117,7 @@ object IterationStats {
     val actWorker = workers(trace.actVid, assign)
     val remoteStart = new Array[Int](rows + 1)
     val cross = crossing(trace, workers(trace.msgSrc, assign), workers(trace.msgDst, assign),
-      qMin, iterMin, iterMax, iterStart, rowOfSlot, remoteStart)
+      qMin, nq, iMin, nIter, rowOfSlot, remoteStart)
     val width = 1 + math.max(max(actWorker, actWorker.length), math.max(max(cross.src, cross.n), max(cross.dst, cross.n)))
 
     val act = new Array[Int](rows * width)
@@ -152,24 +146,13 @@ object IterationStats {
     (lo, hi)
   }
 
-  private def iterRanges(qid: Array[Int], iter: Array[Int], qMin: Int, iterMin: Array[Int], iterMax: Array[Int]): Unit = {
-    var i = 0
-    while (i < qid.length) {
-      val q = qid(i) - qMin
-      if (iter(i) < iterMin(q)) iterMin(q) = iter(i)
-      if (iter(i) > iterMax(q)) iterMax(q) = iter(i)
-      i += 1
-    }
-  }
-
   /** The slot of every activation; marks each such slot with 0. */
-  private def slots(qid: Array[Int], iter: Array[Int], qMin: Int, iterMin: Array[Int], iterStart: Array[Int],
+  private def slots(qid: Array[Int], iter: Array[Int], qMin: Int, iMin: Int, nIter: Int,
       rowOfSlot: Array[Int]): Array[Int] = {
     val out = new Array[Int](qid.length)
     var i = 0
     while (i < qid.length) {
-      val q = qid(i) - qMin
-      out(i) = iterStart(q) + iter(i) - iterMin(q)
+      out(i) = (qid(i) - qMin) * nIter + iter(i) - iMin
       rowOfSlot(out(i)) = 0
       i += 1
     }
@@ -196,18 +179,17 @@ object IterationStats {
     */
   private final class Crossing(val n: Int, val row: Array[Int], val src: Array[Int], val dst: Array[Int])
 
-  private def crossing(trace: BatchTrace, srcWorker: Array[Int], dstWorker: Array[Int], qMin: Int,
-      iterMin: Array[Int], iterMax: Array[Int], iterStart: Array[Int], rowOfSlot: Array[Int],
-      remoteStart: Array[Int]): Crossing = {
+  private def crossing(trace: BatchTrace, srcWorker: Array[Int], dstWorker: Array[Int], qMin: Int, nq: Int,
+      iMin: Int, nIter: Int, rowOfSlot: Array[Int], remoteStart: Array[Int]): Crossing = {
     val mq = trace.msgQid; val mi = trace.msgIter
     val row = new Array[Int](mq.length); val src = new Array[Int](mq.length); val dst = new Array[Int](mq.length)
     var n = 0
     var i = 0
     while (i < mq.length) {
       val q = mq(i) - qMin
-      val it = mi(i)
-      if (srcWorker(i) != dstWorker(i) && q >= 0 && q < iterMin.length && it >= iterMin(q) && it <= iterMax(q)) {
-        val r = rowOfSlot(iterStart(q) + it - iterMin(q))
+      val it = mi(i) - iMin
+      if (srcWorker(i) != dstWorker(i) && q >= 0 && q < nq && it >= 0 && it < nIter) {
+        val r = rowOfSlot(q * nIter + it)
         if (r >= 0) {
           row(n) = r; src(n) = srcWorker(i); dst(n) = dstWorker(i)
           n += 1

@@ -28,12 +28,14 @@ object Metrics {
     b.result()
   }
 
-  /** Per-worker activation counts of a batch (Fig. 6e's workload). */
-  def workerLoads(stats: BatchStats, k: Int): Map[Int, Long] = {
+  /** Per-worker activation counts of a batch (Fig. 6e's workload), indexed
+    * by worker, `k` long.
+    */
+  def workerLoads(stats: BatchStats, k: Int): IndexedSeq[Long] = {
     require(stats.width <= k, s"stats involve worker ${stats.width - 1}, beyond k = $k")
     val load = Array.fill(k)(0L)
     for (row <- 0 until stats.size; w <- 0 until stats.width) load(w) += stats.active(row, w)
-    (0 until k).map(w => w -> load(w)).toMap
+    immutable.ArraySeq.unsafeWrapArray(load)
   }
 
   /** Mean relative deviation of worker loads from their average. */
@@ -52,9 +54,9 @@ object Metrics {
     * executes, imbalance the mean relative deviation from the average
     * worker workload.
     */
-  def windowImbalance(loads: Iterable[Map[Int, Long]], k: Int): Double = {
+  def windowImbalance(loads: Iterable[IndexedSeq[Long]], k: Int): Double = {
     val agg = Array.fill(k)(0.0)
-    for (m <- loads; (w, n) <- m) agg(w) += n.toDouble
+    for (l <- loads; w <- l.indices) agg(w) += l(w).toDouble
     imbalanceOfLoads(agg.toSeq)
   }
 
@@ -62,7 +64,7 @@ object Metrics {
     * windows (several batches) with a sliding average; this sums worker
     * loads over a sliding window of `window` batches.
     */
-  def slidingImbalance(loadsPerBatch: Seq[Map[Int, Long]], k: Int, window: Int = ImbalanceWindow): Vector[Double] =
+  def slidingImbalance(loadsPerBatch: Seq[IndexedSeq[Long]], k: Int, window: Int = ImbalanceWindow): Vector[Double] =
     loadsPerBatch.indices.map { i =>
       windowImbalance(loadsPerBatch.slice(math.max(0, i - window + 1), i + 1), k)
     }.toVector

@@ -13,7 +13,11 @@ import repro.workload.QueryWorkload
 object TestFixtures {
 
   /** 16x16 grid, 4 cities — the SF=0.01-regime unit-test graph. */
-  lazy val tiny: RoadNetwork = RoadNetwork.tiny()
+  lazy val tiny: RoadNetwork = tinyNetwork()
+
+  /** [[tiny]]'s generator under another seed. */
+  def tinyNetwork(seed: Long = 7): RoadNetwork =
+    RoadNetwork.generate("tiny-16", side = 16, nCities = 4, tagRate = 25, seed = seed)
 
   /** 24x24 grid, 5 cities — used where a little more structure is needed. */
   lazy val small: RoadNetwork = RoadNetwork.generate("small-24", side = 24, nCities = 5, tagRate = 40, seed = 11)

@@ -210,6 +210,22 @@ class BspEngineSpec extends SparkSpec {
     }
   }
 
+  test("a batch's trace does not depend on the order in which the batch lists its queries") {
+    for (queries <- Seq(smallSsspQueries, smallPoiQueries)) {
+      def run(qs: Seq[Query]) =
+        BspEngine.runBatch(spark, smallEdges, small.isTagged, qs, maxIter = 400, astarSide = Some(small.side))
+      val batch = queries.filter(_.batch == 0).sortBy(_.qid)
+      val sorted = run(batch)
+      for (listed <- Seq(batch.reverse, new scala.util.Random(3).shuffle(batch))) {
+        val t = run(listed)
+        val order = listed.map(_.qid).mkString(",")
+        assert(t.activations === sorted.activations, s"activations, listed as $order")
+        assert(t.messages === sorted.messages, s"messages, listed as $order")
+        assert(t.results === sorted.results, s"results, listed as $order")
+      }
+    }
+  }
+
   test("a batch that does not converge within maxIter fails on the driver with IllegalArgumentException") {
     val e = intercept[IllegalArgumentException] {
       BspEngine.runBatch(spark, penta, noTag, Seq(Query(0, QueryKind.Sssp, 0, 3, 0, 0)), maxIter = 1)

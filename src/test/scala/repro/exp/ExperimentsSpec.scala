@@ -7,11 +7,11 @@ import repro.sim.CostModel
 import repro.sync.BarrierMode
 
 /** End-to-end harness tests at unit-test scale: every figure harness runs
-  * and produces the qualitative shape the paper reports (the quantitative
-  * reproduction at bench scale lives in bench/).
+  * and produces the qualitative shape the paper reports (the bench-scale
+  * checks, pins and shape gates, are in `GoldenFigureSpec`).
   */
 class ExperimentsSpec extends SparkSpec {
-  private lazy val s = ExpScale.tiny
+  private lazy val s = ExpScale(TestFixtures.small, nQueries = 32, nDisturb = 16, k = 4, batchSize = 8, maxIter = 400)
 
   test("trace cache returns the identical object on re-request") {
     val a = Traces.sssp(spark, s)

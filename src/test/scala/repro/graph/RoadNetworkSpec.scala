@@ -40,16 +40,16 @@ class RoadNetworkSpec extends SparkSpec {
   }
 
   test("generation is deterministic in the seed") {
-    val a = RoadNetwork.tiny(seed = 123)
-    val b = RoadNetwork.tiny(seed = 123)
+    val a = TestFixtures.tinyNetwork(seed = 123)
+    val b = TestFixtures.tinyNetwork(seed = 123)
     assert(a.cities === b.cities)
     assert(a.edgeList.toSeq === b.edgeList.toSeq)
     assert((0 until a.numVertices).map(a.isTagged) === (0 until b.numVertices).map(b.isTagged))
   }
 
   test("different seeds move the cities") {
-    val a = RoadNetwork.tiny(seed = 1)
-    val b = RoadNetwork.tiny(seed = 2)
+    val a = TestFixtures.tinyNetwork(seed = 1)
+    val b = TestFixtures.tinyNetwork(seed = 2)
     assert(a.cities.map(c => (c.cx, c.cy)) !== b.cities.map(c => (c.cx, c.cy)))
   }
 
@@ -136,9 +136,9 @@ class RoadNetworkSpec extends SparkSpec {
   }
 
   test("structureHash fingerprints the generator parameters") {
-    val a = RoadNetwork.tiny(seed = 1)
-    val b = RoadNetwork.tiny(seed = 1)
-    val c = RoadNetwork.tiny(seed = 2)
+    val a = TestFixtures.tinyNetwork(seed = 1)
+    val b = TestFixtures.tinyNetwork(seed = 1)
+    val c = TestFixtures.tinyNetwork(seed = 2)
     assert(a.structureHash === b.structureHash)
     assert(a.structureHash !== c.structureHash)
     val steeper = RoadNetwork.generate("tiny-16", 16, 4, 25, seed = 1, zipfAlpha = 1.3)

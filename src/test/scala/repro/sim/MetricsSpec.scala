@@ -51,13 +51,13 @@ class MetricsSpec extends AnyFunSuite {
   test("sliding imbalance smooths opposite single-batch skews to zero") {
     // Batch 1 all on worker 0, batch 2 all on worker 1: each batch alone is
     // fully imbalanced, the 2-batch window is perfectly balanced.
-    val loads = Seq(Map(0 -> 10L, 1 -> 0L), Map(0 -> 0L, 1 -> 10L))
+    val loads = Seq(Vector(10L, 0L), Vector(0L, 10L))
     val s = Metrics.slidingImbalance(loads, k = 2, window = 2)
     assert(s === Vector(1.0, 0.0))
   }
 
   test("sliding imbalance with window 1 equals the per-batch metric") {
-    val loads = Seq(Map(0 -> 10L, 1 -> 0L), Map(0 -> 5L, 1 -> 5L))
+    val loads = Seq(Vector(10L, 0L), Vector(5L, 5L))
     assert(Metrics.slidingImbalance(loads, 2, window = 1) === Vector(1.0, 0.0))
   }
 
