@@ -237,7 +237,7 @@ object BspEngine {
       distQid += qs(i).qid; distVid += v; distValue += dist(i)(v)
     }
 
-    new BatchTrace(queries.head.batch, queries, iter,
+    new BatchTrace(queries.head.batch, qs.toVector, iter,
       actQid.result(), actIter.result(), actVid.result(),
       msgQid.result(), msgIter.result(), msgSrc.result(), msgDst.result(),
       results, distQid.result(), distVid.result(), distValue.result())

@@ -14,16 +14,13 @@ package repro.qcut
   * only the local scopes on `from` and `to` of the queries in the moved
   * atoms' signatures, and leaves each query's Σ_w |LS(q,w)| unchanged, so the
   * move's cost is the current cost plus, over those queries, the old minus
-  * the new max_w |LS(q,w)|. Nothing is applied or undone during the scan. The
-  * scan order (cluster, then source, then destination worker) and the strict
-  * `<` tie-break are those of evaluating every successor in full: the first
-  * cheapest successor in that order wins.
+  * the new max_w |LS(q,w)|. Nothing is applied or undone to score a move.
   *
-  * The scan visits each cluster's atoms once: a counting sort by worker
-  * groups them into one reused buffer, so the atoms of every (cluster,
-  * source) move are a slice of it, ascending. Each query the move touches is
-  * then read once, and its row of local scopes adds its part to the cost of
-  * every destination.
+  * One [[SuccessorTable]] holds these deltas for a whole descent and is kept
+  * up to date across its accepted moves, so a step re-scores only the moves
+  * that the last accepted move changed. The argmin over the table walks the
+  * moves in scan order (cluster, then source, then destination worker) with
+  * a strict `<`, so the first cheapest balanced successor in that order wins.
   */
 object LocalSearch {
 
@@ -35,13 +32,14 @@ object LocalSearch {
     * interrupted only between rounds (see [[QCut.optimize]]).
     */
   def run(s: QCutState): Int = {
+    val table = new SuccessorTable(s)
     var steps = 0
     var improved = true
     while (improved) {
       improved = false
-      bestSuccessor(s) match {
+      table.successor match {
         case Some((move, movedCost)) if movedCost < s.cost =>
-          s.moveCluster(move.c, move.from, move.to)
+          table.move(move.c, move.from, move.to)
           improved = true
           steps += 1
         case _ => ()
@@ -54,110 +52,189 @@ object LocalSearch {
     * cost (even if it does not improve — the caller decides, mirroring
     * Algorithm 2 lines 5-9).
     */
-  def bestSuccessor(s: QCutState): Option[(Move, Long)] = {
-    val k = s.k
-    val nQ = s.nQueries
-    val cost0 = s.cost
-    // Per query: its largest local scope, on worker top1w, and its second
-    // largest (on another worker).
-    val top1 = new Array[Long](nQ); val top2 = new Array[Long](nQ); val top1w = new Array[Int](nQ)
-    var qi = 0
-    while (qi < nQ) {
+  def bestSuccessor(s: QCutState): Option[(Move, Long)] = new SuccessorTable(s).successor
+
+  /** The cost delta of every successor of `s`, kept current while `s` is
+    * changed through [[move]]. Row `r = c * k + from` stands for the moves
+    * of cluster `c` off worker `from`; it is live while the cluster has
+    * scope on `from`. The table holds:
+    *
+    *   - per query `q`: its largest local scope `top1(q)`, on worker
+    *     `top1w(q)`, and its second largest `top2(q)` (on another worker);
+    *   - per row: `mass(r * nQ + q)`, the scope that query `q` would lose on
+    *     `from` (dense over the window's queries), and `dS(r)`, the scope
+    *     multiplicity that would leave `from`;
+    *   - per row and destination `to`: `delta(r * k + to)`, the cost of the
+    *     move minus the current cost.
+    *
+    * A row's deltas read only its own masses and the local scopes of the
+    * queries it holds. A move of cluster `c` from `f` to `t` moves atoms;
+    * each atom's size passes from the rows (c′, f) of the clusters c′ its
+    * signature meets to the rows (c′, t), and the local scopes, and so the
+    * top two, change only for the queries in the moved atoms' signatures.
+    * So the rows a move invalidates are those whose masses moved and those
+    * that hold a changed query; every other row keeps its deltas. Balance is
+    * not stored: it depends on the loads of both endpoints, which every move
+    * changes, and the argmin tests it only for a move cheaper than the best
+    * so far.
+    */
+  private[repro] final class SuccessorTable(s: QCutState) {
+    private val k = s.k
+    private val nQ = s.nQueries
+    private val ix = s.index
+    private val nRows = s.nClusters * k
+    private val top1 = new Array[Long](nQ)
+    private val top2 = new Array[Long](nQ)
+    private val top1w = new Array[Int](nQ)
+    private val mass = new Array[Long](nRows * nQ)
+    private val dS = new Array[Long](nRows)
+    private val delta = new Array[Long](nRows * k)
+    // Scratch: per destination, Σ_q max(0, |LS(q,to)| + m − base) of one
+    // row; the queries a move changed; the rows whose masses it moved.
+    private val raised = new Array[Long](k)
+    private val changed = new Array[Int](nQ)
+    private val isChanged = new Array[Boolean](nQ)
+    private val dirty = new Array[Boolean](nRows)
+
+    locally {
+      var q = 0
+      while (q < nQ) { rankScopes(q); q += 1 }
+      var c = 0
+      while (c < s.nClusters) {
+        var j = ix.clusterAtomStart(c)
+        while (j < ix.clusterAtomStart(c + 1)) {
+          val i = ix.clusterAtom(j)
+          addMass(c * k + s.assign(i), i, ix.atomSize(i))
+          j += 1
+        }
+        c += 1
+      }
+      var r = 0
+      while (r < nRows) { score(r); r += 1 }
+    }
+
+    /** Recomputes the top two local scopes of query `q`. */
+    private def rankScopes(q: Int): Unit = {
       var t1 = -1L; var t2 = -1L; var w1 = -1
       var w = 0
       while (w < k) {
-        val x = s.localScope(qi, w)
+        val x = s.localScope(q, w)
         if (x > t1) { t2 = t1; t1 = x; w1 = w } else if (x > t2) t2 = x
         w += 1
       }
-      top1(qi) = t1; top2(qi) = t2; top1w(qi) = w1
-      qi += 1
+      top1(q) = t1; top2(q) = t2; top1w(q) = w1
     }
-    // Scope each query loses on `from` in the current (c, from) move, for
-    // the `nTouched` queries listed in `touched` (those stamped `stamp`).
-    val mass = new Array[Long](nQ)
-    val seen = new Array[Int](nQ)
-    val touched = new Array[Int](nQ)
-    var stamp = 0
-    // Cluster c's atoms grouped by worker: those on w are
-    // bucket(bucketStart(w) until bucketStart(w + 1)), ascending.
-    val ix = s.index
-    val bucketStart = new Array[Int](k + 1)
-    val cursor = new Array[Int](k)
-    val bucket = new Array[Int](ix.maxClusterAtoms)
-    // Per destination: Σ_q max(0, |LS(q,to)| + m − base) of the current move.
-    val raised = new Array[Long](k)
-    var bestMove: Move = null
-    var bestCost = 0L
-    var c = 0
-    while (c < s.nClusters) {
-      val a0 = ix.clusterAtomStart(c); val a1 = ix.clusterAtomStart(c + 1)
-      java.util.Arrays.fill(bucketStart, 0)
-      var j = a0
-      while (j < a1) { bucketStart(s.assign(ix.clusterAtom(j)) + 1) += 1; j += 1 }
-      var w = 0
-      while (w < k) { bucketStart(w + 1) += bucketStart(w); cursor(w) = bucketStart(w); w += 1 }
-      j = a0
-      while (j < a1) {
-        val i = ix.clusterAtom(j); val on = s.assign(i)
-        bucket(cursor(on)) = i; cursor(on) += 1; j += 1
-      }
-      var from = 0
-      while (from < k) {
-        if (s.clusterScope(c, from) > 0) {
-          // The moved atoms, their mass per query and dV/dS are the same for
-          // every destination; compute them once.
-          stamp += 1
-          var nTouched = 0
-          var dV = 0L; var dS = 0L
-          var b = bucketStart(from)
-          while (b < bucketStart(from + 1)) {
-            val i = bucket(b)
-            val sz = ix.atomSize(i)
-            dV += sz; dS += sz * ix.nQueriesOf(i)
-            var t = ix.atomQueryStart(i)
-            while (t < ix.atomQueryStart(i + 1)) {
-              val q = ix.atomQuery(t)
-              if (seen(q) != stamp) { seen(q) = stamp; mass(q) = 0L; touched(nTouched) = q; nTouched += 1 }
-              mass(q) += sz
-              t += 1
-            }
-            b += 1
-          }
-          // Only `from` loses scope, so a query's new max is `base`, the
-          // larger of its new scope on `from` and its old max over the other
-          // workers, raised to its new scope on `to`: the move to `to` costs
-          // cost0 + Σ_q (top1 − base) − Σ_q max(0, |LS(q,to)| + m − base).
-          var kept = 0L
-          java.util.Arrays.fill(raised, 0L)
-          var t = 0
-          while (t < nTouched) {
-            val q = touched(t)
-            val m = mass(q)
-            val maxOffFrom = if (top1w(q) != from) top1(q) else top2(q)
-            val base = math.max(maxOffFrom, s.localScope(q, from) - m)
-            kept += top1(q) - base
-            var to = 0
-            while (to < k) {
-              val x = s.localScope(q, to) + m - base
-              if (x > 0) raised(to) += x
-              to += 1
-            }
-            t += 1
-          }
+
+    /** Adds `sz` (negative to remove) to row `r`'s mass of every query of
+      * atom `i`.
+      */
+    private def addMass(r: Int, i: Int, sz: Long): Unit = {
+      var t = ix.atomQueryStart(i)
+      while (t < ix.atomQueryStart(i + 1)) { mass(r * nQ + ix.atomQuery(t)) += sz; t += 1 }
+    }
+
+    /** Recomputes row `r`'s dS and deltas. Only `from` loses scope, so a
+      * query's new max is `base`, the larger of its new scope on `from` and
+      * its old max over the other workers, raised to its new scope on `to`:
+      * the move to `to` changes the cost by
+      * Σ_q (top1 − base) − Σ_q max(0, |LS(q,to)| + m − base).
+      */
+    private def score(r: Int): Unit = {
+      val from = r % k
+      var kept = 0L
+      var moved = 0L
+      java.util.Arrays.fill(raised, 0L)
+      var q = 0
+      while (q < nQ) {
+        val m = mass(r * nQ + q)
+        if (m > 0) {
+          moved += m
+          val maxOffFrom = if (top1w(q) != from) top1(q) else top2(q)
+          val base = math.max(maxOffFrom, s.localScope(q, from) - m)
+          kept += top1(q) - base
           var to = 0
           while (to < k) {
-            if (to != from && s.pairBalancedAfter(from, to, dV, dS)) {
-              val cost = cost0 + kept - raised(to)
-              if (bestMove == null || cost < bestCost) { bestMove = Move(c, from, to); bestCost = cost }
-            }
+            val x = s.localScope(q, to) + m - base
+            if (x > 0) raised(to) += x
             to += 1
           }
         }
-        from += 1
+        q += 1
       }
-      c += 1
+      dS(r) = moved
+      var to = 0
+      while (to < k) { delta(r * k + to) = kept - raised(to); to += 1 }
     }
-    if (bestMove == null) None else Some((bestMove, bestCost))
+
+    /** The first cheapest balanced successor in scan order and its cost.
+      * The cost comparison comes first, so the δ test runs only for a move
+      * that would replace the best so far.
+      */
+    def successor: Option[(Move, Long)] = {
+      var bestRow = -1; var bestTo = -1; var bestDelta = 0L
+      var c = 0
+      while (c < s.nClusters) {
+        var from = 0
+        while (from < k) {
+          val dV = s.clusterScope(c, from)
+          if (dV > 0) {
+            val r = c * k + from
+            var to = 0
+            while (to < k) {
+              if (to != from) {
+                val d = delta(r * k + to)
+                if ((bestRow < 0 || d < bestDelta) && s.pairBalancedAfter(from, to, dV, dS(r))) {
+                  bestRow = r; bestTo = to; bestDelta = d
+                }
+              }
+              to += 1
+            }
+          }
+          from += 1
+        }
+        c += 1
+      }
+      if (bestRow < 0) None else Some((Move(bestRow / k, bestRow % k, bestTo), s.cost + bestDelta))
+    }
+
+    /** `s.moveCluster(c, from, to)`, then re-scores the rows it invalidated. */
+    def move(c: Int, from: Int, to: Int): Unit = {
+      var nChanged = 0
+      var j = ix.clusterAtomStart(c)
+      while (j < ix.clusterAtomStart(c + 1)) {
+        val i = ix.clusterAtom(j)
+        if (s.assign(i) == from) {
+          val sz = ix.atomSize(i)
+          var t = ix.atomClusterStart(i)
+          while (t < ix.atomClusterStart(i + 1)) {
+            val row = ix.atomCluster(t) * k
+            addMass(row + from, i, -sz); addMass(row + to, i, sz)
+            dirty(row + from) = true; dirty(row + to) = true
+            t += 1
+          }
+          t = ix.atomQueryStart(i)
+          while (t < ix.atomQueryStart(i + 1)) {
+            val q = ix.atomQuery(t)
+            if (!isChanged(q)) { isChanged(q) = true; changed(nChanged) = q; nChanged += 1 }
+            t += 1
+          }
+        }
+        j += 1
+      }
+      s.moveCluster(c, from, to)
+      var t = 0
+      while (t < nChanged) { rankScopes(changed(t)); t += 1 }
+      var r = 0
+      while (r < nRows) {
+        var stale = dirty(r)
+        t = 0
+        while (!stale && t < nChanged) { stale = mass(r * nQ + changed(t)) > 0; t += 1 }
+        if (stale) score(r)
+        dirty(r) = false
+        r += 1
+      }
+      t = 0
+      while (t < nChanged) { isChanged(changed(t)) = false; t += 1 }
+    }
   }
 }

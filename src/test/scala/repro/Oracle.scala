@@ -178,6 +178,173 @@ object Oracle {
     best
   }
 
+  /** `LocalSearch.bestSuccessor` as written before its successor table: a
+    * full scan that rebuilds every query's top two local scopes and every
+    * (cluster, source) move's query masses, then scores every destination.
+    */
+  def scanSuccessor(s: QCutState): Option[(LocalSearch.Move, Long)] = {
+    val k = s.k
+    val nQ = s.nQueries
+    val cost0 = s.cost
+    // Per query: its largest local scope, on worker top1w, and its second
+    // largest (on another worker).
+    val top1 = new Array[Long](nQ); val top2 = new Array[Long](nQ); val top1w = new Array[Int](nQ)
+    var qi = 0
+    while (qi < nQ) {
+      var t1 = -1L; var t2 = -1L; var w1 = -1
+      var w = 0
+      while (w < k) {
+        val x = s.localScope(qi, w)
+        if (x > t1) { t2 = t1; t1 = x; w1 = w } else if (x > t2) t2 = x
+        w += 1
+      }
+      top1(qi) = t1; top2(qi) = t2; top1w(qi) = w1
+      qi += 1
+    }
+    // Scope each query loses on `from` in the current (c, from) move, for
+    // the `nTouched` queries listed in `touched` (those stamped `stamp`).
+    val mass = new Array[Long](nQ)
+    val seen = new Array[Int](nQ)
+    val touched = new Array[Int](nQ)
+    var stamp = 0
+    // Cluster c's atoms grouped by worker: those on w are
+    // bucket(bucketStart(w) until bucketStart(w + 1)), ascending.
+    val ix = s.index
+    val bucketStart = new Array[Int](k + 1)
+    val cursor = new Array[Int](k)
+    val bucket = new Array[Int](ix.maxClusterAtoms)
+    // Per destination: Σ_q max(0, |LS(q,to)| + m − base) of the current move.
+    val raised = new Array[Long](k)
+    var bestMove: LocalSearch.Move = null
+    var bestCost = 0L
+    var c = 0
+    while (c < s.nClusters) {
+      val a0 = ix.clusterAtomStart(c); val a1 = ix.clusterAtomStart(c + 1)
+      java.util.Arrays.fill(bucketStart, 0)
+      var j = a0
+      while (j < a1) { bucketStart(s.assign(ix.clusterAtom(j)) + 1) += 1; j += 1 }
+      var w = 0
+      while (w < k) { bucketStart(w + 1) += bucketStart(w); cursor(w) = bucketStart(w); w += 1 }
+      j = a0
+      while (j < a1) {
+        val i = ix.clusterAtom(j); val on = s.assign(i)
+        bucket(cursor(on)) = i; cursor(on) += 1; j += 1
+      }
+      var from = 0
+      while (from < k) {
+        if (s.clusterScope(c, from) > 0) {
+          // The moved atoms, their mass per query and dV/dS are the same for
+          // every destination; compute them once.
+          stamp += 1
+          var nTouched = 0
+          var dV = 0L; var dS = 0L
+          var b = bucketStart(from)
+          while (b < bucketStart(from + 1)) {
+            val i = bucket(b)
+            val sz = ix.atomSize(i)
+            dV += sz; dS += sz * ix.nQueriesOf(i)
+            var t = ix.atomQueryStart(i)
+            while (t < ix.atomQueryStart(i + 1)) {
+              val q = ix.atomQuery(t)
+              if (seen(q) != stamp) { seen(q) = stamp; mass(q) = 0L; touched(nTouched) = q; nTouched += 1 }
+              mass(q) += sz
+              t += 1
+            }
+            b += 1
+          }
+          // Only `from` loses scope, so a query's new max is `base`, the
+          // larger of its new scope on `from` and its old max over the other
+          // workers, raised to its new scope on `to`: the move to `to` costs
+          // cost0 + Σ_q (top1 − base) − Σ_q max(0, |LS(q,to)| + m − base).
+          var kept = 0L
+          java.util.Arrays.fill(raised, 0L)
+          var t = 0
+          while (t < nTouched) {
+            val q = touched(t)
+            val m = mass(q)
+            val maxOffFrom = if (top1w(q) != from) top1(q) else top2(q)
+            val base = math.max(maxOffFrom, s.localScope(q, from) - m)
+            kept += top1(q) - base
+            var to = 0
+            while (to < k) {
+              val x = s.localScope(q, to) + m - base
+              if (x > 0) raised(to) += x
+              to += 1
+            }
+            t += 1
+          }
+          var to = 0
+          while (to < k) {
+            if (to != from && s.pairBalancedAfter(from, to, dV, dS)) {
+              val cost = cost0 + kept - raised(to)
+              if (bestMove == null || cost < bestCost) { bestMove = LocalSearch.Move(c, from, to); bestCost = cost }
+            }
+            to += 1
+          }
+        }
+        from += 1
+      }
+      c += 1
+    }
+    if (bestMove == null) None else Some((bestMove, bestCost))
+  }
+
+  /** `KargerClustering.overlapsFromAtoms` as written before its dense
+    * matrix: a boxed map keyed by qid pairs (a, b), a < b.
+    */
+  def overlapsFromAtoms(atoms: Seq[Atom]): Map[(Int, Int), Long] = {
+    val acc = scala.collection.mutable.HashMap.empty[(Int, Int), Long]
+    for (a <- atoms; i <- a.sig.indices; j <- (i + 1) until a.sig.length) {
+      val key = (a.sig(i), a.sig(j))
+      acc(key) = acc.getOrElse(key, 0L) + a.size
+    }
+    acc.toMap
+  }
+
+  /** `KargerClustering.cluster` as written before its dense matrix: the
+    * live edges as a boxed list, re-filtered after every contraction.
+    */
+  def cluster(queryIds: IndexedSeq[Int], overlaps: Map[(Int, Int), Long], target: Int, rng: Random): Array[Int] = {
+    require(target >= 1)
+    val n = queryIds.length
+    val index = queryIds.zipWithIndex.toMap
+    val parent = Array.tabulate(n)(i => i)
+    def find(x: Int): Int = {
+      var r = x
+      while (parent(r) != r) r = parent(r)
+      var c = x
+      while (parent(c) != c) {
+        val next = parent(c)
+        parent(c) = r
+        c = next
+      }
+      r
+    }
+    val edges = overlaps.toVector.collect {
+      case ((a, b), w) if index.contains(a) && index.contains(b) && w > 0 =>
+        (index(a), index(b), w)
+    }.sortBy(e => (e._1, e._2)) // deterministic base order before seeded draws
+    var components = n
+    var live = edges
+    while (components > target && live.nonEmpty) {
+      val total = live.iterator.map(_._3).sum
+      var draw = (rng.nextDouble() * total).toLong
+      var pick = live.head
+      var i = 0
+      while (i < live.length && draw >= live(i)._3) { draw -= live(i)._3; i += 1 }
+      if (i < live.length) pick = live(i)
+      val ra = find(pick._1); val rb = find(pick._2)
+      if (ra != rb) { parent(rb) = ra; components -= 1 }
+      live = live.filter(e => find(e._1) != find(e._2))
+    }
+    // Compact component roots to 0..C-1.
+    val rootIds = scala.collection.mutable.LinkedHashMap.empty[Int, Int]
+    Array.tabulate(n) { q =>
+      val r = find(q)
+      rootIds.getOrElseUpdate(r, rootIds.size)
+    }
+  }
+
   /** `ScopeAtoms.build` by its definition over boxed maps: group vertices
     * by (sorted query set, worker), order by (`sig.mkString(",")`, worker).
     */

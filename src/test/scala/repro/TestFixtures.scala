@@ -3,6 +3,7 @@ package repro
 import org.apache.spark.sql.DataFrame
 import repro.engine._
 import repro.graph.RoadNetwork
+import repro.qcut.KargerClustering
 import repro.sim.{BatchStats, IterationStats}
 import repro.workload.QueryWorkload
 
@@ -64,6 +65,26 @@ object TestFixtures {
     val acts = for (r <- rows; (w, n) <- r.actByWorker.toSeq; _ <- 0 until n) yield ActRec(r.qid, r.iter, w)
     val msgs = for (r <- rows; ((a, b), n) <- r.remoteMsgs.toSeq; _ <- 0 until n) yield MsgRec(r.qid, r.iter, a, b)
     IterationStats.compute(trace(acts, msgs), w => w)
+  }
+
+  /** Hand-written overlap weights over `queryIds`, keyed by qid pairs
+    * (a, b) with a < b, as `KargerClustering.cluster` takes them.
+    */
+  def overlaps(queryIds: IndexedSeq[Int], weights: Map[(Int, Int), Long]): KargerClustering.Overlaps = {
+    val n = queryIds.length
+    val weight = new Array[Long](n * n)
+    for (((a, b), w) <- weights) {
+      require(a < b, s"pair ($a, $b) is not ascending")
+      weight(queryIds.indexOf(a) * n + queryIds.indexOf(b)) = w
+    }
+    new KargerClustering.Overlaps(queryIds, weight)
+  }
+
+  /** The nonzero weights of `o`, keyed by qid pairs (a, b) with a < b. */
+  def overlapMap(o: KargerClustering.Overlaps): Map[(Int, Int), Long] = {
+    val n = o.queryIds.length
+    (for (i <- 0 until n; j <- 0 until n if o.weight(i * n + j) != 0)
+      yield (o.queryIds(i), o.queryIds(j)) -> o.weight(i * n + j)).toMap
   }
 
   /** A hand-built 5-vertex weighted digraph for exact-arithmetic oracle

@@ -222,6 +222,7 @@ class BspEngineSpec extends SparkSpec {
         assert(t.activations === sorted.activations, s"activations, listed as $order")
         assert(t.messages === sorted.messages, s"messages, listed as $order")
         assert(t.results === sorted.results, s"results, listed as $order")
+        assert(t == sorted, s"whole trace, listed as $order")
       }
     }
   }

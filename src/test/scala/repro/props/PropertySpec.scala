@@ -198,6 +198,40 @@ class PropertySpec extends AnyFunSuite {
     }, minTests = 200)
   }
 
+  test("property: one successor table kept across random moves gives the oracle's successor at every step") {
+    check(Prop.forAll(genQCutState, genMoves) { (s, moves) =>
+      val table = new LocalSearch.SuccessorTable(s)
+      def agrees = {
+        val best = table.successor
+        best == Oracle.bestSuccessor(s) && best == Oracle.scanSuccessor(s)
+      }
+      agrees && moves.forall { seed =>
+        val (c, from, to) = move(s, seed)
+        table.move(c, from, to)
+        agrees
+      }
+    }, minTests = 300)
+  }
+
+  test("property: Karger over the dense overlaps gives the oracle's clusters and draws") {
+    var disconnected = 0
+    var atLeastN = 0
+    check(Prop.forAll(genScopes, Gen.choose(1, 4), Gen.choose(1, 8), Gen.long) { (scopes, k, target, seed) =>
+      val atoms = ScopeAtoms.build(scopes, v => v % k)
+      val qids = atoms.flatMap(_.sig).distinct.sorted
+      val o = KargerClustering.overlapsFromAtoms(atoms)
+      val ra = new scala.util.Random(seed); val rb = new scala.util.Random(seed)
+      val mine = KargerClustering.cluster(qids, o, target, ra)
+      val oracle = Oracle.cluster(qids, Oracle.overlapsFromAtoms(atoms), target, rb)
+      if (target >= qids.size) atLeastN += 1
+      else if (mine.distinct.length > target) disconnected += 1
+      TestFixtures.overlapMap(o) == Oracle.overlapsFromAtoms(atoms) &&
+        mine.sameElements(oracle) && ra.nextLong() == rb.nextLong()
+    }, minTests = 500)
+    assert(atLeastN > 0, "no generated case had target >= n")
+    assert(disconnected > 0, "no generated overlap graph stopped above its target")
+  }
+
   test("property: globallyBalanced is the δ-constraint on every worker pair, before and after moves") {
     def everyPair(s: QCutState): Boolean =
       (0 until s.k).forall(w => (0 until s.k).forall { w2 =>
@@ -417,7 +451,7 @@ class PropertySpec extends AnyFunSuite {
     check(Prop.forAll(Gen.choose(2, 12), Gen.choose(1, 6), Gen.choose(0L, 1000L)) { (n, target, seed) =>
       val qids = (0 until n).toVector
       val overlaps = (0 until n - 1).map(i => (i, i + 1) -> 5L).toMap // a path: connected
-      val c = KargerClustering.cluster(qids, overlaps, target, new scala.util.Random(seed))
+      val c = KargerClustering.cluster(qids, TestFixtures.overlaps(qids, overlaps), target, new scala.util.Random(seed))
       c.distinct.length <= math.max(target, 1) && c.length == n
     })
   }

@@ -1,6 +1,7 @@
 package repro.qcut
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestFixtures.{overlapMap, overlaps => overlapsOf}
 import scala.util.Random
 
 class KargerClusteringSpec extends AnyFunSuite {
@@ -10,7 +11,7 @@ class KargerClusteringSpec extends AnyFunSuite {
       Atom(Vector(1, 2), 0, Array(0, 1, 2)),
       Atom(Vector(1, 2, 3), 1, Array(3)),
       Atom(Vector(2), 0, Array(4)))
-    val o = KargerClustering.overlapsFromAtoms(atoms)
+    val o = overlapMap(KargerClustering.overlapsFromAtoms(atoms))
     assert(o((1, 2)) === 4L) // 3 + 1
     assert(o((1, 3)) === 1L)
     assert(o((2, 3)) === 1L)
@@ -19,7 +20,7 @@ class KargerClusteringSpec extends AnyFunSuite {
   test("clustering reaches the target count on a connected overlap graph") {
     val qids = (0 until 8).toVector
     val overlaps = (0 until 7).map(i => (i, i + 1) -> 10L).toMap
-    val c = KargerClustering.cluster(qids, overlaps, target = 3, new Random(1))
+    val c = KargerClustering.cluster(qids, overlapsOf(qids, overlaps), target = 3, new Random(1))
     assert(c.length === 8)
     assert(c.distinct.length === 3)
   }
@@ -29,7 +30,7 @@ class KargerClusteringSpec extends AnyFunSuite {
     // Two separate triangles: {0,1,2} and {3,4,5}.
     val overlaps = Map((0, 1) -> 5L, (1, 2) -> 5L, (0, 2) -> 5L,
       (3, 4) -> 5L, (4, 5) -> 5L, (3, 5) -> 5L)
-    val c = KargerClustering.cluster(qids, overlaps, target = 2, new Random(2))
+    val c = KargerClustering.cluster(qids, overlapsOf(qids, overlaps), target = 2, new Random(2))
     assert(c.distinct.length === 2)
     assert(Set(c(0), c(1), c(2)).size === 1)
     assert(Set(c(3), c(4), c(5)).size === 1)
@@ -39,14 +40,14 @@ class KargerClusteringSpec extends AnyFunSuite {
   test("disconnected queries cannot be merged below the component count") {
     val qids = (0 until 4).toVector
     val overlaps = Map((0, 1) -> 1L) // components: {0,1}, {2}, {3}
-    val c = KargerClustering.cluster(qids, overlaps, target = 1, new Random(3))
+    val c = KargerClustering.cluster(qids, overlapsOf(qids, overlaps), target = 1, new Random(3))
     assert(c.distinct.length === 3)
   }
 
   test("target >= nQueries leaves everything separate") {
     val qids = (0 until 5).toVector
     val overlaps = Map((0, 1) -> 3L)
-    val c = KargerClustering.cluster(qids, overlaps, target = 5, new Random(4))
+    val c = KargerClustering.cluster(qids, overlapsOf(qids, overlaps), target = 5, new Random(4))
     assert(c.distinct.length === 5)
   }
 
@@ -54,8 +55,8 @@ class KargerClusteringSpec extends AnyFunSuite {
     val qids = (0 until 10).toVector
     val overlaps = (for (i <- 0 until 10; j <- (i + 1) until 10 if (i + j) % 3 == 0)
       yield (i, j) -> ((i + j + 1).toLong)).toMap
-    val a = KargerClustering.cluster(qids, overlaps, 4, new Random(9))
-    val b = KargerClustering.cluster(qids, overlaps, 4, new Random(9))
+    val a = KargerClustering.cluster(qids, overlapsOf(qids, overlaps), 4, new Random(9))
+    val b = KargerClustering.cluster(qids, overlapsOf(qids, overlaps), 4, new Random(9))
     assert(a.toSeq === b.toSeq)
   }
 
@@ -66,7 +67,7 @@ class KargerClusteringSpec extends AnyFunSuite {
   test("cluster ids are compact (0 until C)") {
     val qids = (0 until 8).toVector
     val overlaps = (0 until 7).map(i => (i, i + 1) -> 1L).toMap
-    val c = KargerClustering.cluster(qids, overlaps, 3, new Random(5))
+    val c = KargerClustering.cluster(qids, overlapsOf(qids, overlaps), 3, new Random(5))
     assert(c.distinct.sorted.toSeq === (0 until c.distinct.length))
   }
 }
