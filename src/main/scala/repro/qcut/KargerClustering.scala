@@ -32,11 +32,19 @@ import scala.util.Random
   */
 object KargerClustering {
 
-  /** Pairwise overlap weights of the queries `queryIds` (sorted, distinct):
-    * the weight of query indices i < j is `weight(i * n + j)`.
+  /** Pairwise overlap weights of the queries `queryIds` (strictly
+    * ascending): the weight of query indices i < j is `weight(i * n + j)`,
+    * and every cell on or below the diagonal is 0. [[cluster]] kills an
+    * edge by zeroing its cell above the diagonal, so a weight below it
+    * would never die.
     */
   final class Overlaps(val queryIds: IndexedSeq[Int], val weight: Array[Long]) {
-    require(weight.length == queryIds.length * queryIds.length, "weight must be n x n")
+    private val n = queryIds.length
+    require(weight.length == n * n, "weight must be n x n")
+    require((1 until n).forall(i => queryIds(i - 1) < queryIds(i)), "queryIds must be strictly ascending")
+    require((0 until n).forall(i => (0 to i).forall(j => weight(i * n + j) == 0)),
+      "weights must lie above the diagonal")
+    require(weight.forall(_ >= 0), "weights must not be negative")
   }
 
   /** Pairwise overlap weights derived from atoms: for every atom, each query

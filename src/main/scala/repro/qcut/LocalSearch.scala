@@ -48,12 +48,6 @@ object LocalSearch {
     steps
   }
 
-  /** Evaluates all balanced successors; returns the cheapest one and its
-    * cost (even if it does not improve — the caller decides, mirroring
-    * Algorithm 2 lines 5-9).
-    */
-  def bestSuccessor(s: QCutState): Option[(Move, Long)] = new SuccessorTable(s).successor
-
   /** The cost delta of every successor of `s`, kept current while `s` is
     * changed through [[move]]. Row `r = c * k + from` stands for the moves
     * of cluster `c` off worker `from`; it is live while the cluster has
@@ -166,9 +160,10 @@ object LocalSearch {
       while (to < k) { delta(r * k + to) = kept - raised(to); to += 1 }
     }
 
-    /** The first cheapest balanced successor in scan order and its cost.
-      * The cost comparison comes first, so the δ test runs only for a move
-      * that would replace the best so far.
+    /** The first cheapest balanced successor in scan order and its cost,
+      * even if it does not improve (the caller decides, mirroring
+      * Algorithm 2 lines 5-9). The cost comparison comes first, so the δ
+      * test runs only for a move that would replace the best so far.
       */
     def successor: Option[(Move, Long)] = {
       var bestRow = -1; var bestTo = -1; var bestDelta = 0L

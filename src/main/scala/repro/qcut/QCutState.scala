@@ -35,7 +35,7 @@ final class QCutState private (
     val k: Int,
     val delta: Double,
     val assign: Array[Int],
-    private[repro] val index: QCutState.Index,
+    private[qcut] val index: QCutState.Index,
     // caches, all owned by this instance; per-(query, worker) and
     // per-(cluster, worker) counts are flat, row-major with stride k:
     private val ls: Array[Long],
@@ -84,7 +84,7 @@ final class QCutState private (
     * `from` to `to` keep the moved pair balanced? The predicate of
     * Algorithm 2 line 15, on the exact post-move workloads.
     */
-  private[repro] def pairBalancedAfter(from: Int, to: Int, dV: Long, dS: Long): Boolean =
+  private[qcut] def pairBalancedAfter(from: Int, to: Int, dV: Long, dS: Long): Boolean =
     balanced(workload(vCount(from) - dV, sCount(from) - dS), workload(vCount(to) + dV, sCount(to) + dS))
 
   /** L_w = (|V(w)| + Σ_q |LS(q,w)|) / 2 from its two counts (Appendix A.1). */
@@ -160,7 +160,7 @@ object QCutState {
     * @param atomCluster   per atom: distinct clusters its signature intersects
     * @param clusterAtom   per cluster: atoms whose signature intersects it
     */
-  private[repro] final class Index(
+  private[qcut] final class Index(
       val atomSize: Array[Long],
       val atomQueryStart: Array[Int],
       val atomQuery: Array[Int],
@@ -170,10 +170,6 @@ object QCutState {
       val clusterAtom: Array[Int]) {
     /** |sig| of atom `i`. */
     def nQueriesOf(i: Int): Int = atomQueryStart(i + 1) - atomQueryStart(i)
-
-    /** The most atoms any one cluster has. */
-    val maxClusterAtoms: Int =
-      (0 until clusterAtomStart.length - 1).foldLeft(0)((m, c) => math.max(m, clusterAtomStart(c + 1) - clusterAtomStart(c)))
   }
 
   /** `rows` as (row starts, flat items). */

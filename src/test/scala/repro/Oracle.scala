@@ -161,9 +161,9 @@ object Oracle {
       for (q <- 0 until s.nQueries; w <- 0 until s.k) yield s.localScope(q, w),
       for (c <- 0 until s.nClusters; w <- 0 until s.k) yield s.clusterScope(c, w))
 
-  /** `LocalSearch.bestSuccessor` by brute force: apply every successor to a
-    * copy, keep it if the moved pair's workloads satisfy the δ-constraint,
-    * compute the full cost; the first cheapest wins.
+  /** `LocalSearch.SuccessorTable.successor` by brute force: apply every
+    * successor to a copy, keep it if the moved pair's workloads satisfy the
+    * δ-constraint, compute the full cost; the first cheapest wins.
     */
   def bestSuccessor(s: QCutState): Option[(LocalSearch.Move, Long)] = {
     var best: Option[(LocalSearch.Move, Long)] = None
@@ -178,9 +178,11 @@ object Oracle {
     best
   }
 
-  /** `LocalSearch.bestSuccessor` as written before its successor table: a
-    * full scan that rebuilds every query's top two local scopes and every
-    * (cluster, source) move's query masses, then scores every destination.
+  /** The successor scan of `LocalSearch` as written before its successor
+    * table: a full scan that rebuilds every query's top two local scopes
+    * and every (cluster, source) move's query masses, then scores every
+    * destination. The atom indices and the balance test are derived from
+    * the state's public members.
     */
   def scanSuccessor(s: QCutState): Option[(LocalSearch.Move, Long)] = {
     val k = s.k
@@ -207,27 +209,39 @@ object Oracle {
     val seen = new Array[Int](nQ)
     val touched = new Array[Int](nQ)
     var stamp = 0
+    // Per atom its query indices; per cluster its atoms, ascending.
+    val queryIndex = s.queryIds.zipWithIndex.toMap
+    val atomQueries = s.atoms.map(_.sig.map(queryIndex).toArray).toArray
+    val clusterAtoms = Array.tabulate(s.nClusters)(c =>
+      s.atoms.indices.filter(i => atomQueries(i).exists(s.clusterOfQuery(_) == c)).toArray)
+    // Algorithm 2 line 15 on the exact post-move workloads; 2 * L_w is the
+    // integer |V(w)| + Σ_q |LS(q,w)|, so this is QCutState's own test.
+    def pairBalancedAfter(from: Int, to: Int, dV: Long, dS: Long): Boolean = {
+      val a = ((2 * s.load(from)).toLong - dV - dS) / 2.0
+      val b = ((2 * s.load(to)).toLong + dV + dS) / 2.0
+      val m = math.max(a, b)
+      m == 0 || math.abs(a - b) / m < s.delta
+    }
     // Cluster c's atoms grouped by worker: those on w are
     // bucket(bucketStart(w) until bucketStart(w + 1)), ascending.
-    val ix = s.index
     val bucketStart = new Array[Int](k + 1)
     val cursor = new Array[Int](k)
-    val bucket = new Array[Int](ix.maxClusterAtoms)
+    val bucket = new Array[Int](clusterAtoms.iterator.map(_.length).maxOption.getOrElse(0))
     // Per destination: Σ_q max(0, |LS(q,to)| + m − base) of the current move.
     val raised = new Array[Long](k)
     var bestMove: LocalSearch.Move = null
     var bestCost = 0L
     var c = 0
     while (c < s.nClusters) {
-      val a0 = ix.clusterAtomStart(c); val a1 = ix.clusterAtomStart(c + 1)
+      val atomsOfC = clusterAtoms(c)
       java.util.Arrays.fill(bucketStart, 0)
-      var j = a0
-      while (j < a1) { bucketStart(s.assign(ix.clusterAtom(j)) + 1) += 1; j += 1 }
+      var j = 0
+      while (j < atomsOfC.length) { bucketStart(s.assign(atomsOfC(j)) + 1) += 1; j += 1 }
       var w = 0
       while (w < k) { bucketStart(w + 1) += bucketStart(w); cursor(w) = bucketStart(w); w += 1 }
-      j = a0
-      while (j < a1) {
-        val i = ix.clusterAtom(j); val on = s.assign(i)
+      j = 0
+      while (j < atomsOfC.length) {
+        val i = atomsOfC(j); val on = s.assign(i)
         bucket(cursor(on)) = i; cursor(on) += 1; j += 1
       }
       var from = 0
@@ -241,11 +255,12 @@ object Oracle {
           var b = bucketStart(from)
           while (b < bucketStart(from + 1)) {
             val i = bucket(b)
-            val sz = ix.atomSize(i)
-            dV += sz; dS += sz * ix.nQueriesOf(i)
-            var t = ix.atomQueryStart(i)
-            while (t < ix.atomQueryStart(i + 1)) {
-              val q = ix.atomQuery(t)
+            val sz = s.atoms(i).size.toLong
+            val qs = atomQueries(i)
+            dV += sz; dS += sz * qs.length
+            var t = 0
+            while (t < qs.length) {
+              val q = qs(t)
               if (seen(q) != stamp) { seen(q) = stamp; mass(q) = 0L; touched(nTouched) = q; nTouched += 1 }
               mass(q) += sz
               t += 1
@@ -275,7 +290,7 @@ object Oracle {
           }
           var to = 0
           while (to < k) {
-            if (to != from && s.pairBalancedAfter(from, to, dV, dS)) {
+            if (to != from && pairBalancedAfter(from, to, dV, dS)) {
               val cost = cost0 + kept - raised(to)
               if (bestMove == null || cost < bestCost) { bestMove = LocalSearch.Move(c, from, to); bestCost = cost }
             }

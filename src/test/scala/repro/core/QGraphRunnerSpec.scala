@@ -90,6 +90,26 @@ class QGraphRunnerSpec extends SparkSpec {
     }
   }
 
+  test("an adaptive run over the first i batches equals the first i batches of the whole run") {
+    // The runner never looks ahead: the controller, the ILS and the clock see
+    // only the batches so far. Batches and latencies compare as raw bits.
+    def bits(d: Double) = java.lang.Double.doubleToRawLongBits(d)
+    def batchBits(b: BatchOutcome) = b.productIterator.map { case d: Double => bits(d); case x => x }.toList
+    val inits = Seq[(String, Int => Array[Int])]("hash" -> (HashPartitioner.assign(g, _)), "domain" -> (DomainPartitioner.assign(g, _)))
+    for ((name, init) <- inits; k <- Seq(2, 8)) {
+      val c = RunConfig(s"$name+qcut/k=$k", k, BarrierMode.Hybrid, adaptive = true, CostModel.default, ctrl)
+      val full = QGraphRunner.run(init(k), traces, c)
+      assert(full.repartitions > 0, c.name)
+      for (i <- 1 until traces.size) {
+        val r = QGraphRunner.run(init(k), traces.take(i), c)
+        assert(r.batches.map(batchBits) === full.batches.take(i).map(batchBits), s"${c.name}, $i batches")
+        val qids = traces.take(i).flatMap(_.queries.map(_.qid)).toSet
+        assert(r.queryLatencies.map { case (q, l) => q -> bits(l) } ===
+          full.queryLatencies.filter(e => qids(e._1)).map { case (q, l) => q -> bits(l) }, s"${c.name}, $i batches")
+      }
+    }
+  }
+
   test("domain workload imbalance exceeds hash imbalance (Fig 6e shape)") {
     val h = QGraphRunner.run(HashPartitioner.assign(g, k), traces, cfg("hash", adaptive = false))
     val d = QGraphRunner.run(DomainPartitioner.assign(g, k), traces, cfg("domain", adaptive = false))

@@ -184,7 +184,7 @@ class PropertySpec extends AnyFunSuite {
       var steps = 0
       var continue = true
       while (ok && continue && steps < 200) {
-        val best = LocalSearch.bestSuccessor(s)
+        val best = new LocalSearch.SuccessorTable(s).successor
         ok = best == Oracle.bestSuccessor(s)
         best match {
           case Some((m, cost)) if ok && cost < s.cost =>

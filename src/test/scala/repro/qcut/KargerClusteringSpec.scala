@@ -70,4 +70,12 @@ class KargerClusteringSpec extends AnyFunSuite {
     val c = KargerClustering.cluster(qids, overlapsOf(qids, overlaps), 3, new Random(5))
     assert(c.distinct.sorted.toSeq === (0 until c.distinct.length))
   }
+
+  test("overlaps need ascending query ids and weights above the diagonal only") {
+    val below = new Array[Long](4); below(2) = 1L // indices (1, 0)
+    assert(intercept[IllegalArgumentException](new KargerClustering.Overlaps(Vector(3, 7), below))
+      .getMessage.contains("above the diagonal"))
+    assert(intercept[IllegalArgumentException](new KargerClustering.Overlaps(Vector(7, 3), new Array[Long](4)))
+      .getMessage.contains("ascending"))
+  }
 }

@@ -35,7 +35,7 @@ class LocalSearchSpec extends AnyFunSuite {
     var prev = s.cost
     var continue = true
     while (continue) {
-      LocalSearch.bestSuccessor(s) match {
+      new LocalSearch.SuccessorTable(s).successor match {
         case Some((m, c)) if c < prev =>
           s.moveCluster(m.c, m.from, m.to)
           assert(s.cost === c)
@@ -50,7 +50,7 @@ class LocalSearchSpec extends AnyFunSuite {
   test("search result is a local minimum (no balanced improving successor)") {
     val s = splitState()
     LocalSearch.run(s)
-    LocalSearch.bestSuccessor(s) match {
+    new LocalSearch.SuccessorTable(s).successor match {
       case Some((_, c)) => assert(c >= s.cost)
       case None         => succeed
     }
@@ -67,7 +67,7 @@ class LocalSearchSpec extends AnyFunSuite {
 
   test("successors exclude the source worker itself") {
     val s = splitState()
-    LocalSearch.bestSuccessor(s).foreach { case (m, _) => assert(m.from !== m.to) }
+    new LocalSearch.SuccessorTable(s).successor.foreach { case (m, _) => assert(m.from !== m.to) }
   }
 
   test("local search on an already perfect state does nothing") {
