@@ -31,12 +31,9 @@ object ScopeAtoms {
     * vertex array, under the given assignment, ordered by
     * (`sig.mkString(",")`, worker); each atom's vertices ascend.
     *
-    * Signatures come from partition refinement over dense per-vertex
-    * arrays indexed by vertex id, with no hashing: class 0 is the empty
-    * signature, and the queries, in ascending qid, split every class into
-    * the vertices each query touches and the rest. A class is one
-    * signature prefix, kept as its parent class and its last query, so a
-    * vertex's signature is read back from its final class.
+    * Vertices are grouped by (signature, worker) over dense per-vertex
+    * arrays indexed by vertex id: a vertex's signature is its slice of one
+    * flat array of query ids, filled in ascending qid order.
     */
   def fromArrays(scopes: Map[Int, Array[Int]], assign: Int => Int): Vector[Atom] = {
     val qids = scopes.keys.toArray.sorted
@@ -48,65 +45,54 @@ object ScopeAtoms {
       while (j < scope.length) { require(scope(j) > scope(j - 1), "a scope must be sorted and distinct"); j += 1 }
       nVertices = math.max(nVertices, scope.last + 1)
     }
-    // Per class: its parent, its last qid, and the child it got from the
-    // query that last split it (`splitBy`, a query index).
-    var parent = new Array[Int](64); var lastQid = new Array[Int](64)
-    var splitBy = new Array[Int](64); var child = new Array[Int](64)
-    splitBy(0) = -1
-    var nClasses = 1
-    val classOf = new Array[Int](nVertices)
+    // Per vertex: its signature as sigQ(sigStart(v) until sigStart(v + 1)).
+    val sigStart = new Array[Int](nVertices + 1)
+    for (scope <- scopeOf) { var j = 0; while (j < scope.length) { sigStart(scope(j) + 1) += 1; j += 1 } }
+    var nTouched = 0
+    var v = 0
+    while (v < nVertices) { if (sigStart(v + 1) > 0) nTouched += 1; sigStart(v + 1) += sigStart(v); v += 1 }
+    val sigQ = new Array[Int](sigStart(nVertices))
+    val fill = java.util.Arrays.copyOf(sigStart, nVertices)
     for (qi <- qids.indices) {
       val scope = scopeOf(qi)
       var j = 0
-      while (j < scope.length) {
-        val v = scope(j); val c = classOf(v)
-        if (splitBy(c) != qi) {
-          if (nClasses == parent.length) {
-            val n = 2 * nClasses
-            parent = java.util.Arrays.copyOf(parent, n); lastQid = java.util.Arrays.copyOf(lastQid, n)
-            splitBy = java.util.Arrays.copyOf(splitBy, n); child = java.util.Arrays.copyOf(child, n)
-          }
-          parent(nClasses) = c; lastQid(nClasses) = qids(qi); splitBy(nClasses) = -1
-          splitBy(c) = qi; child(c) = nClasses
-          nClasses += 1
-        }
-        classOf(v) = child(c)
-        j += 1
-      }
+      while (j < scope.length) { val u = scope(j); sigQ(fill(u)) = qids(qi); fill(u) += 1; j += 1 }
     }
 
-    // One atom per (class, worker), found through a list of the class's
-    // atoms; there are at most as many atoms as vertices. The touched
-    // vertices are visited in ascending id.
-    val firstAtom = Array.fill(nClasses)(-1)
-    val atomClass = new Array[Int](nVertices); val atomWorker = new Array[Int](nVertices)
-    val nextAtom = new Array[Int](nVertices)
-    val vids = new Array[scala.collection.mutable.ArrayBuilder.ofInt](nVertices)
-    var nAtoms = 0
-    var v = 0
+    // Group touched vertices by (signature, worker) in an open-addressing
+    // table of group representatives, at most one per touched vertex, so
+    // the table stays at most half full; vertices are visited in ascending id.
+    val worker = new Array[Int](nVertices)
+    val groupOf = new Array[Int](nVertices)
+    val reps = Array.newBuilder[Int]
+    var nGroups = 0
+    val table = new Array[Int](Integer.highestOneBit(math.max(1, nTouched)) * 4)
+    java.util.Arrays.fill(table, -1)
+    val mask = table.length - 1
+    def sameKey(a: Int, b: Int): Boolean =
+      worker(a) == worker(b) &&
+        java.util.Arrays.equals(sigQ, sigStart(a), sigStart(a + 1), sigQ, sigStart(b), sigStart(b + 1))
+    v = 0
     while (v < nVertices) {
-      val c = classOf(v)
-      if (c != 0) {
+      if (sigStart(v + 1) > sigStart(v)) {
         val w = assign(v)
-        var a = firstAtom(c)
-        while (a >= 0 && atomWorker(a) != w) a = nextAtom(a)
-        if (a < 0) {
-          a = nAtoms
-          atomClass(a) = c; atomWorker(a) = w; nextAtom(a) = firstAtom(c)
-          vids(a) = new scala.collection.mutable.ArrayBuilder.ofInt
-          firstAtom(c) = a
-          nAtoms += 1
-        }
-        vids(a) += v
+        worker(v) = w
+        var h = w
+        var j = sigStart(v)
+        while (j < sigStart(v + 1)) { h = 31 * h + sigQ(j); j += 1 }
+        var slot = scala.util.hashing.MurmurHash3.finalizeHash(h, 0) & mask
+        while (table(slot) >= 0 && !sameKey(table(slot), v)) slot = (slot + 1) & mask
+        if (table(slot) < 0) { table(slot) = v; groupOf(v) = nGroups; reps += v; nGroups += 1 }
+        else groupOf(v) = groupOf(table(slot))
       }
       v += 1
     }
-    val atoms = Vector.tabulate(nAtoms) { a =>
-      var sig = List.empty[Int]
-      var c = atomClass(a)
-      while (c != 0) { sig = lastQid(c) :: sig; c = parent(c) }
-      Atom(sig.toVector, atomWorker(a), vids(a).result())
-    }
+    val vids = Array.fill(nGroups)(Array.newBuilder[Int])
+    v = 0
+    while (v < nVertices) { if (sigStart(v + 1) > sigStart(v)) vids(groupOf(v)) += v; v += 1 }
+    val atoms = reps.result().iterator.zip(vids.iterator).map { case (r, vs) =>
+      Atom(sigQ.slice(sigStart(r), sigStart(r + 1)).toVector, worker(r), vs.result())
+    }.toVector
     atoms.map(a => (a.sig.mkString(","), a.worker, a)).sortBy(t => (t._1, t._2)).map(_._3)
   }
 }
